@@ -41,22 +41,7 @@ let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed (runs a
 
 (* ---- JSON emission for --json (no external JSON dependency) ---- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_str s = "\"" ^ json_escape s ^ "\""
+let json_str s = "\"" ^ Obs.Json.escape s ^ "\""
 let json_float f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
 let json_int = string_of_int
 let json_bool b = if b then "true" else "false"

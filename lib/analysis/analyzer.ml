@@ -10,6 +10,9 @@ let builtin_passes () =
   ignore Pass_determinism.pass;
   ignore Pass_alloc.pass;
   ignore Pass_matrix.pass;
+  ignore Pass_obj_magic.pass;
+  ignore Pass_print.pass;
+  ignore Pass_interface.pass;
   Registry.all ()
 
 let normalize path =
@@ -34,8 +37,15 @@ let parse_implementation ~path text =
 let check_source ?passes ~path text =
   let passes = match passes with Some ps -> ps | None -> builtin_passes () in
   let path = normalize path in
-  let applicable = List.filter (fun p -> p.Registry.applies path) passes in
-  if applicable = [] then []
+  let applicable =
+    List.filter_map
+      (fun p ->
+        match p.Registry.check with
+        | Registry.File check when p.Registry.applies path -> Some check
+        | _ -> None)
+      passes
+  in
+  if applicable = [] || not (Filename.check_suffix path ".ml") then []
   else
     match parse_implementation ~path text with
     | Error line ->
@@ -46,7 +56,7 @@ let check_source ?passes ~path text =
         ]
     | Ok str ->
         Finding.sort
-          (List.concat_map (fun p -> p.Registry.check ~path str) applicable)
+          (List.concat_map (fun check -> check ~path str) applicable)
 
 (* One file: raw findings minus inline suppressions. *)
 let analyze_source ?passes ~path text =
@@ -60,6 +70,37 @@ type report = {
       (** inline-suppressed + allowlisted + baselined, for accounting *)
 }
 
+(* Whole-tree findings: each [Tree] pass sees the applicable paths of
+   the listing. They sit on line 0, so only the allowlist and the
+   baseline can suppress them. *)
+let check_tree ?passes paths =
+  let passes = match passes with Some ps -> ps | None -> builtin_passes () in
+  let paths = List.map normalize paths in
+  List.concat_map
+    (fun p ->
+      match p.Registry.check with
+      | Registry.Tree check -> check (List.filter p.Registry.applies paths)
+      | Registry.File _ -> [])
+    passes
+
+type allow = { allow_rule : string; allow_prefix : string }
+
+let parse_allowlist text =
+  String.split_on_char '\n' text
+  |> List.filter_map (fun line ->
+         let line = String.trim line in
+         if line = "" || line.[0] = '#' then None
+         else
+           match String.index_opt line ' ' with
+           | None -> None
+           | Some i ->
+               Some
+                 {
+                   allow_rule = String.sub line 0 i;
+                   allow_prefix =
+                     normalize (String.trim (String.sub line (i + 1) (String.length line - i - 1)));
+                 })
+
 let partition_allowed allows findings =
   let has_prefix prefix path =
     String.length path >= String.length prefix
@@ -69,9 +110,7 @@ let partition_allowed allows findings =
     (fun (f : Finding.t) ->
       not
         (List.exists
-           (fun a ->
-             a.Lint.Source_rules.allow_rule = f.Finding.pass
-             && has_prefix a.Lint.Source_rules.allow_prefix f.Finding.path)
+           (fun a -> a.allow_rule = f.Finding.pass && has_prefix a.allow_prefix f.Finding.path)
            allows))
     findings
 
@@ -81,7 +120,8 @@ let run ?passes ?(allow = []) ?(baseline = Baseline.empty) files =
       (fun (kept, supp) (path, text) ->
         let k, s = analyze_source ?passes ~path text in
         (k @ kept, s @ supp))
-      ([], []) files
+      (check_tree ?passes (List.map fst files), [])
+      files
   in
   let kept, allowed = partition_allowed allow kept in
   let kept, baselined = Baseline.filter baseline kept in
@@ -105,7 +145,8 @@ let rec walk dir =
           let p = Filename.concat dir entry in
           if Sys.is_directory p then
             if entry = "_build" || entry.[0] = '.' then acc else acc @ walk p
-          else if Filename.check_suffix p ".ml" then acc @ [ p ]
+          else if Filename.check_suffix p ".ml" || Filename.check_suffix p ".mli" then
+            acc @ [ p ]
           else acc)
         [] entries
 

@@ -125,7 +125,7 @@ let pass =
     applies =
       (fun path ->
         (not (clock_exempt path)) || (not (random_exempt path)) || solver_lib path);
-    check;
+    check = Registry.File check;
   }
 
 let () = Registry.register pass

@@ -23,7 +23,7 @@
       binding is a finding at the spawn site.
 
    The analysis is per-file: cross-module mutable state is sealed behind
-   .mli interfaces (rule R005) and owned by its defining module. *)
+   .mli interfaces (pass A007) and owned by its defining module. *)
 
 open Parsetree
 
@@ -213,7 +213,7 @@ let pass =
        syntactically reachable from a Domain.spawn closure must be Atomic, \
        Mutex.protect-guarded, or explicitly allowed";
     applies = (fun _ -> true);
-    check;
+    check = Registry.File check;
   }
 
 let () = Registry.register pass

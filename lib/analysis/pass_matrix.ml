@@ -59,7 +59,7 @@ let pass =
       "matrix representation: boxed costs.(i).(j) indexing outside \
        lib/lat_matrix/ (successor of token rule R006)";
     applies = (fun path -> not (exempt path));
-    check;
+    check = Registry.File check;
   }
 
 let () = Registry.register pass

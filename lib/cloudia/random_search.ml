@@ -73,6 +73,9 @@ let r2_parallel ?(domains = 4) ?(stop = no_stop) ?on_improve rng objective probl
     ~time_limit =
   if domains <= 0 then invalid_arg "Random_search.r2_parallel: need at least one domain";
   if time_limit <= 0.0 then invalid_arg "Random_search.r2_parallel: need a positive time limit";
+  (* Domains beyond the core count only time-slice, and every minor GC
+     stops them all, so a larger gang runs fewer trials than serial R2. *)
+  let domains = min domains (Domain.recommended_domain_count ()) in
   Obs.Span.with_ "random_search.r2_parallel" @@ fun () ->
   (* One incumbent stream and one improvement callback for the whole
      gang: per-domain improvements are merged under a mutex so the caller

@@ -65,8 +65,11 @@ val r2_parallel :
     of the search space given the same amount of time" (Sect. 4.3.1) — the
     paper's R2 runs "in parallel using the same amount of wall-clock time
     as well as the same hardware given to the CP or MIP solvers". Spawns
-    [domains] (default 4) OCaml domains, each running an independent
-    PRNG-split stream for [time_limit] seconds; returns the best plan,
+    [domains] (default 4) OCaml domains, clamped to
+    [Domain.recommended_domain_count ()] since domains beyond the core
+    count time-slice and stall each other at every minor GC, each running
+    an independent PRNG-split stream for [time_limit] seconds (the first
+    [domains] splits of [rng], after the clamp); returns the best plan,
     its cost, and the total plans tried across domains (per-domain counts
     are merged atomically into the [random_search.trials] counter).
 

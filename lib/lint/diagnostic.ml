@@ -43,27 +43,12 @@ let pp fmt d = Format.pp_print_string fmt (to_string d)
 let render fmt ds =
   List.iter (fun d -> Format.fprintf fmt "%a@." pp d) (sort ds)
 
-(* Hand-rolled JSON, mirroring the CLI's emitter: no external dependency. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
+(* Hand-rolled JSON over the shared Obs.Json string escaper. *)
 let to_json ds =
   let one d =
     Printf.sprintf "{\"severity\":\"%s\",\"code\":\"%s\",\"context\":\"%s\",\"message\":\"%s\"}"
-      (severity_to_string d.severity) (json_escape d.code) (json_escape d.context)
-      (json_escape d.message)
+      (severity_to_string d.severity) (Obs.Json.escape d.code) (Obs.Json.escape d.context)
+      (Obs.Json.escape d.message)
   in
   "[" ^ String.concat "," (List.map one (sort ds)) ^ "]"
 

@@ -1,20 +1,5 @@
 (* ---- minimal JSON emission (no external dependency) ---- *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* JSON has no literal for infinities or NaN. *)
 let number f = if Float.is_finite f then Printf.sprintf "%.17g" f else "null"
 
@@ -33,7 +18,7 @@ let hist_json ~common (s : Histogram.snapshot) =
   in
   Printf.sprintf
     "{\"type\":\"hist\",\"name\":\"%s\",\"alpha\":%s,\"count\":%d,\"sum\":%s,\"min\":%s,\"max\":%s,\"zero\":%d,\"buckets\":[%s],%s}"
-    (escape s.hist_name) (number s.hist_alpha) s.hist_count (number s.hist_sum)
+    (Json.escape s.hist_name) (number s.hist_alpha) s.hist_count (number s.hist_sum)
     (number s.hist_min) (number s.hist_max) s.hist_zero buckets common
 
 let jsonl ?run ?(counters = []) ?(gauges = []) ?(hists = []) oc events =
@@ -47,36 +32,36 @@ let jsonl ?run ?(counters = []) ?(gauges = []) ?(hists = []) oc events =
    Printf.fprintf oc "{\"type\":\"header\",\"schema\":%d,\"seed\":%s,\"argv\":[%s],%s}\n"
      schema_version
      (match seed with Some s -> string_of_int s | None -> "null")
-     (String.concat "," (List.map (fun a -> "\"" ^ escape a ^ "\"") argv))
+     (String.concat "," (List.map (fun a -> "\"" ^ Json.escape a ^ "\"") argv))
      now);
   List.iter
     (fun (e : Event.t) ->
       let common = Printf.sprintf "\"ts_ns\":%Ld,\"domain\":%d" e.Event.t_ns e.Event.domain in
       (match e.Event.payload with
       | Event.Span_begin n ->
-          Printf.fprintf oc "{\"type\":\"span_begin\",\"name\":\"%s\",%s}" (escape n) common
+          Printf.fprintf oc "{\"type\":\"span_begin\",\"name\":\"%s\",%s}" (Json.escape n) common
       | Event.Span_end n ->
-          Printf.fprintf oc "{\"type\":\"span_end\",\"name\":\"%s\",%s}" (escape n) common
+          Printf.fprintf oc "{\"type\":\"span_end\",\"name\":\"%s\",%s}" (Json.escape n) common
       | Event.Incumbent { stream; cost } ->
           Printf.fprintf oc "{\"type\":\"incumbent\",\"stream\":\"%s\",\"cost\":%s,%s}"
-            (escape stream) (number cost) common
+            (Json.escape stream) (number cost) common
       | Event.Mark n ->
-          Printf.fprintf oc "{\"type\":\"mark\",\"name\":\"%s\",%s}" (escape n) common
+          Printf.fprintf oc "{\"type\":\"mark\",\"name\":\"%s\",%s}" (Json.escape n) common
       | Event.Gc_delta g ->
           Printf.fprintf oc
             "{\"type\":\"gc\",\"span\":\"%s\",\"minor_words\":%s,\"major_words\":%s,\"promoted_words\":%s,\"heap_words\":%d,\"compactions\":%d,%s}"
-            (escape g.span) (number g.minor_words) (number g.major_words)
+            (Json.escape g.span) (number g.minor_words) (number g.major_words)
             (number g.promoted_words) g.heap_words g.compactions common);
       output_char oc '\n')
     events;
   List.iter
     (fun (name, total) ->
-      Printf.fprintf oc "{\"type\":\"counter\",\"name\":\"%s\",\"total\":%d,%s}\n" (escape name)
+      Printf.fprintf oc "{\"type\":\"counter\",\"name\":\"%s\",\"total\":%d,%s}\n" (Json.escape name)
         total now)
     counters;
   List.iter
     (fun (name, v) ->
-      Printf.fprintf oc "{\"type\":\"gauge\",\"name\":\"%s\",\"value\":%s,%s}\n" (escape name)
+      Printf.fprintf oc "{\"type\":\"gauge\",\"name\":\"%s\",\"value\":%s,%s}\n" (Json.escape name)
         (number v) now)
     gauges;
   List.iter
@@ -115,26 +100,26 @@ let chrome ?run ?(counters = []) ?(gauges = []) ?(hists = []) oc events =
       | Event.Span_begin n ->
           emit
             (Printf.sprintf "{\"name\":\"%s\",\"cat\":\"cloudia\",\"ph\":\"B\",\"ts\":%.3f,\"pid\":1,\"tid\":%d}"
-               (escape n) ts e.Event.domain)
+               (Json.escape n) ts e.Event.domain)
       | Event.Span_end n ->
           emit
             (Printf.sprintf "{\"name\":\"%s\",\"cat\":\"cloudia\",\"ph\":\"E\",\"ts\":%.3f,\"pid\":1,\"tid\":%d}"
-               (escape n) ts e.Event.domain)
+               (Json.escape n) ts e.Event.domain)
       | Event.Incumbent { stream; cost } ->
           emit
             (Printf.sprintf
                "{\"name\":\"incumbent:%s\",\"cat\":\"cloudia\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{\"cost\":%s}}"
-               (escape stream) ts e.Event.domain (number cost))
+               (Json.escape stream) ts e.Event.domain (number cost))
       | Event.Mark n ->
           emit
             (Printf.sprintf
                "{\"name\":\"%s\",\"cat\":\"cloudia\",\"ph\":\"i\",\"ts\":%.3f,\"pid\":1,\"tid\":%d,\"s\":\"t\"}"
-               (escape n) ts e.Event.domain)
+               (Json.escape n) ts e.Event.domain)
       | Event.Gc_delta g ->
           emit
             (Printf.sprintf
                "{\"name\":\"gc:%s\",\"cat\":\"cloudia\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{\"minor_words\":%s,\"major_words\":%s}}"
-               (escape g.span) ts e.Event.domain (number g.minor_words)
+               (Json.escape g.span) ts e.Event.domain (number g.minor_words)
                (number g.major_words)))
     events;
   (* Final counter/gauge totals as counter samples at the trace's end. *)
@@ -143,14 +128,14 @@ let chrome ?run ?(counters = []) ?(gauges = []) ?(hists = []) oc events =
       emit
         (Printf.sprintf
            "{\"name\":\"%s\",\"cat\":\"cloudia\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":1,\"tid\":0,\"args\":{\"value\":%d}}"
-           (escape name) !last total))
+           (Json.escape name) !last total))
     counters;
   List.iter
     (fun (name, v) ->
       emit
         (Printf.sprintf
            "{\"name\":\"%s\",\"cat\":\"cloudia\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":1,\"tid\":0,\"args\":{\"value\":%s}}"
-           (escape name) !last (number v)))
+           (Json.escape name) !last (number v)))
     gauges;
   (* Histograms as end-of-trace instants carrying their quantile table. *)
   List.iter
@@ -158,7 +143,7 @@ let chrome ?run ?(counters = []) ?(gauges = []) ?(hists = []) oc events =
       emit
         (Printf.sprintf
            "{\"name\":\"hist:%s\",\"cat\":\"cloudia\",\"ph\":\"i\",\"ts\":%.3f,\"pid\":1,\"tid\":0,\"s\":\"g\",\"args\":{\"count\":%d,\"p50\":%s,\"p90\":%s,\"p99\":%s,\"max\":%s}}"
-           (escape s.hist_name) !last s.hist_count
+           (Json.escape s.hist_name) !last s.hist_count
            (number (Histogram.quantile_of s 0.50))
            (number (Histogram.quantile_of s 0.90))
            (number (Histogram.quantile_of s 0.99))

@@ -15,6 +15,11 @@ let has_pass p fs = List.mem p (passes_of fs)
 
 let count_pass p fs = List.length (List.filter (fun (f : Analysis.Finding.t) -> f.pass = p) fs)
 
+let contains ~needle hay =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
 (* ---------------- A001: domain-safety ---------------- *)
 
 let test_a001_ref_reached_from_spawn () =
@@ -84,16 +89,15 @@ let test_a002_direct_gettimeofday () =
   check_int "exempt in bench" 0
     (count_pass "A002" (findings "bench/fixture.ml" src))
 
-let test_a002_aliased_unix_token_scanner_misses () =
-  (* The seeded violation the token scanner demonstrably misses: no
-     "Unix.gettimeofday" token appears, only an alias projection. The AST
-     pass resolves [module U = Unix] and still flags it; the token-rule
-     engine sees nothing. *)
+let test_a002_aliased_unix () =
+  (* The seeded violation a token scan misses: no "Unix.gettimeofday"
+     token appears, only an alias projection. The AST pass resolves
+     [module U = Unix] and still flags it. *)
   let src = "module U = Unix\nlet now () = U.gettimeofday ()\n" in
+  check_bool "no Unix.gettimeofday token in the source" false
+    (contains ~needle:"Unix.gettimeofday" src);
   check_bool "AST pass catches the alias" true
-    (has_pass "A002" (findings "lib/cp/fixture.ml" src));
-  check_int "token scanner reports nothing" 0
-    (List.length (Lint.Source_rules.scan_file ~path:"lib/cp/fixture.ml" src))
+    (has_pass "A002" (findings "lib/cp/fixture.ml" src))
 
 let test_a002_open_unix_bare_call () =
   let src = "open Unix\nlet now () = gettimeofday ()\n" in
@@ -225,6 +229,131 @@ let test_a004_boxed_costs_indexing () =
   check_int "unrelated arrays fine" 0
     (count_pass "A004" (findings "lib/cloudia/fixture.ml" "let read xs i = xs.(i)\n"))
 
+(* ---------------- A005: unsafe casts ---------------- *)
+
+let test_a005_obj_magic () =
+  let bad = "let cast (x : int) : string = Obj.magic x\n" in
+  check_int "flagged in bin" 1 (count_pass "A005" (findings "bin/cloudia_cli.ml" bad));
+  check_int "flagged in lib" 1 (count_pass "A005" (findings "lib/cp/search.ml" bad));
+  check_bool "Stdlib.Obj.magic flagged" true
+    (has_pass "A005" (findings "lib/cp/search.ml" "let cast x = Stdlib.Obj.magic x\n"))
+
+let test_a005_aliased_obj () =
+  (* Neither shape contains an "Obj.magic" token; both resolve to it. *)
+  check_bool "module O = Obj; O.magic" true
+    (has_pass "A005" (findings "lib/cp/search.ml" "module O = Obj\nlet cast x = O.magic x\n"));
+  check_bool "open Obj; magic" true
+    (has_pass "A005" (findings "lib/cp/search.ml" "open Obj\nlet cast x = magic x\n"));
+  check_int "a local magic is someone else's" 0
+    (count_pass "A005" (findings "lib/cp/search.ml" "let magic x = x\nlet y = magic 1\n"))
+
+let test_a005_comments_and_strings () =
+  (* The parser drops comments and literals, so documentation may name a
+     banned identifier. *)
+  let text =
+    "(* Obj.magic and print_endline are banned *)\n"
+    ^ "let doc = \"call Obj.magic never; Printf.printf either\"\n"
+    ^ "let raw = {|Obj.magic in a quoted block|}\n"
+    ^ "let payload = {json|{\"x\": [1]} Obj.magic |} still print_string |json}\n"
+    ^ "let tick = 'x'\n"
+    ^ "(* outer (* Obj.magic *) still comment print_newline *) let x = 1\n"
+  in
+  check_int "nothing flagged" 0 (List.length (findings "lib/cp/search.ml" text))
+
+let test_a005_code_after_literal_exact_line () =
+  check_bool "code after a comment flagged" true
+    (has_pass "A005" (findings "lib/cp/search.ml" "(* fine *) let cast x = Obj.magic x\n"));
+  (match findings "lib/cp/search.ml" "let p = {q|Obj.magic|q}\nlet cast x = Obj.magic x\n" with
+  | [ f ] ->
+      Alcotest.(check string) "pass" "A005" f.pass;
+      check_int "line" 2 f.line
+  | fs -> Alcotest.fail (Printf.sprintf "expected one finding, got %d" (List.length fs)));
+  (match findings "lib/cp/search.ml" "let s = \"(*\"\nlet r = { x = Obj.magic 1 }\n" with
+  | [ f ] -> check_int "after a string holding a comment opener" 2 f.line
+  | fs -> Alcotest.fail (Printf.sprintf "expected one finding, got %d" (List.length fs)))
+
+let test_a005_name_boundaries () =
+  check_int "My_Obj.magic_backup is not Obj.magic" 0
+    (List.length (findings "lib/cp/search.ml" "let x = My_Obj.magic_backup ()\n"))
+
+(* ---------------- A006: library printing ---------------- *)
+
+let test_a006_library_printing () =
+  let bad = "let () = Printf.printf \"hi\"; print_endline \"bye\"\n" in
+  check_int "both call sites in lib" 2
+    (count_pass "A006" (findings "lib/cloudia/advisor.ml" bad));
+  check_int "binaries may print" 0 (count_pass "A006" (findings "bin/cloudia_cli.ml" bad));
+  check_bool "Format.printf flagged" true
+    (has_pass "A006" (findings "lib/cloudia/advisor.ml" "let () = Format.printf \"x\"\n"))
+
+let test_a006_open_and_alias () =
+  (* The shapes a token scan missed: no "Printf.printf" token appears. *)
+  check_bool "open Printf; printf" true
+    (has_pass "A006"
+       (findings "lib/cloudia/advisor.ml" "open Printf\nlet () = printf \"hi\"\n"));
+  check_bool "module P = Printf; P.printf" true
+    (has_pass "A006"
+       (findings "lib/cloudia/advisor.ml" "module P = Printf\nlet () = P.printf \"hi\"\n"));
+  check_int "sprintf and eprintf are fine" 0
+    (count_pass "A006"
+       (findings "lib/cloudia/advisor.ml"
+          "open Printf\nlet s = sprintf \"x\"\nlet () = eprintf \"y\"\n"));
+  check_int "a shadowed print_endline is fine" 0
+    (count_pass "A006"
+       (findings "lib/cloudia/advisor.ml"
+          "let print_endline (_ : string) = ()\nlet () = print_endline \"x\"\n"))
+
+(* ---------------- A007: missing interfaces ---------------- *)
+
+let test_a007_missing_mli () =
+  let listing =
+    [ "lib/cp/search.ml"; "lib/cp/search.mli"; "lib/cp/orphan.ml"; "bin/cloudia_cli.ml" ]
+  in
+  (match Analysis.Analyzer.check_tree listing with
+  | [ f ] ->
+      Alcotest.(check string) "pass" "A007" f.pass;
+      Alcotest.(check string) "which file" "lib/cp/orphan.ml" f.path;
+      check_int "whole-file finding" 0 f.line
+  | fs -> Alcotest.fail (Printf.sprintf "expected one A007 finding, got %d" (List.length fs)));
+  (* Through [run], over in-memory contents: bin/ is exempt. *)
+  let r =
+    Analysis.Analyzer.run (List.map (fun p -> (p, "let x = 1\n")) listing)
+  in
+  Alcotest.(check (list string)) "run reports the orphan only" [ "lib/cp/orphan.ml" ]
+    (List.map (fun (f : Analysis.Finding.t) -> f.path) r.Analysis.Analyzer.kept)
+
+(* ---------------- allowlist and rendering ---------------- *)
+
+let test_allowlist_suppression () =
+  let files =
+    [ ("lib/cp/search.ml", "let () = Printf.printf \"hi\"\n"); ("lib/cp/search.mli", "") ]
+  in
+  let allow =
+    Analysis.Analyzer.parse_allowlist "# debug CLI surface, tracked in ROADMAP\nA006 lib/cp/\n"
+  in
+  let r = Analysis.Analyzer.run ~allow files in
+  check_int "kept" 0 (List.length r.Analysis.Analyzer.kept);
+  check_int "suppressed" 1 (List.length r.Analysis.Analyzer.suppressed);
+  (* Wrong pass id or non-matching prefix keeps the finding. *)
+  let allow = Analysis.Analyzer.parse_allowlist "A005 lib/cp/\nA006 lib/lp/\n" in
+  let r = Analysis.Analyzer.run ~allow files in
+  check_int "kept unmatched" 1 (List.length r.Analysis.Analyzer.kept);
+  check_int "not suppressed" 0 (List.length r.Analysis.Analyzer.suppressed)
+
+let test_finding_to_diagnostic () =
+  (match findings "lib/cp/search.ml" "let cast x = Obj.magic x\n" with
+  | [ f ] ->
+      let d = Analysis.Finding.to_diagnostic f in
+      check_bool "error severity" true (d.Lint.Diagnostic.severity = Lint.Diagnostic.Error);
+      Alcotest.(check string) "code" "A005" d.Lint.Diagnostic.code;
+      Alcotest.(check string) "context" "lib/cp/search.ml:1" d.Lint.Diagnostic.context
+  | fs -> Alcotest.fail (Printf.sprintf "expected one finding, got %d" (List.length fs)));
+  match Analysis.Analyzer.check_tree [ "lib/cp/orphan.ml" ] with
+  | [ f ] ->
+      Alcotest.(check string) "whole-file context is the bare path" "lib/cp/orphan.ml"
+        (Analysis.Finding.to_diagnostic f).Lint.Diagnostic.context
+  | fs -> Alcotest.fail (Printf.sprintf "expected one finding, got %d" (List.length fs))
+
 (* ---------------- parse failures ---------------- *)
 
 let test_parse_failure_is_a_finding () =
@@ -298,16 +427,18 @@ let test_run_with_baseline_and_allowlist () =
   let src = "let now () = Unix.gettimeofday ()\n" in
   let files = [ ("lib/cp/fixture.ml", src); ("lib/lp/fixture.ml", src) ] in
   (* Unfiltered: both findings kept. *)
-  let r = Analysis.Analyzer.run files in
+  (* Only A002: the fixtures have no .mli, which A007 would report. *)
+  let passes = [ Analysis.Pass_determinism.pass ] in
+  let r = Analysis.Analyzer.run ~passes files in
   check_int "files" 2 r.Analysis.Analyzer.files;
   check_int "kept" 2 (List.length r.Analysis.Analyzer.kept);
   (* Allowlist takes one, baseline the other. *)
-  let allow = Lint.Source_rules.parse_allowlist "A002 lib/lp/\n" in
+  let allow = Analysis.Analyzer.parse_allowlist "A002 lib/lp/\n" in
   let baseline =
     Analysis.Baseline.of_findings
       (Analysis.Analyzer.check_source ~path:"lib/cp/fixture.ml" src)
   in
-  let r = Analysis.Analyzer.run ~allow ~baseline files in
+  let r = Analysis.Analyzer.run ~passes ~allow ~baseline files in
   check_int "all suppressed" 0 (List.length r.Analysis.Analyzer.kept);
   check_int "two suppressed" 2 (List.length r.Analysis.Analyzer.suppressed)
 
@@ -341,7 +472,7 @@ let test_clean_tree_has_zero_findings () =
       let allow =
         let f = Filename.concat root "tools/analyzer/allowlist" in
         if Sys.file_exists f then
-          Lint.Source_rules.parse_allowlist
+          Analysis.Analyzer.parse_allowlist
             (In_channel.with_open_text f In_channel.input_all)
         else []
       in
@@ -360,8 +491,7 @@ let suite =
     Alcotest.test_case "a001 mutex guard" `Quick test_a001_mutex_protect_guards;
     Alcotest.test_case "a001 local state" `Quick test_a001_local_state_is_fine;
     Alcotest.test_case "a002 direct gettimeofday" `Quick test_a002_direct_gettimeofday;
-    Alcotest.test_case "a002 alias beats token scan" `Quick
-      test_a002_aliased_unix_token_scanner_misses;
+    Alcotest.test_case "a002 alias beats token scan" `Quick test_a002_aliased_unix;
     Alcotest.test_case "a002 open unix" `Quick test_a002_open_unix_bare_call;
     Alcotest.test_case "a002 global random" `Quick test_a002_global_random;
     Alcotest.test_case "a002 shadowed random" `Quick test_a002_shadowed_random_not_flagged;
@@ -373,6 +503,17 @@ let suite =
     Alcotest.test_case "a003 unmarked fn" `Quick test_a003_unmarked_function_ignored;
     Alcotest.test_case "a003 raise path" `Quick test_a003_raise_path_exempt;
     Alcotest.test_case "a004 boxed costs" `Quick test_a004_boxed_costs_indexing;
+    Alcotest.test_case "a005 obj magic" `Quick test_a005_obj_magic;
+    Alcotest.test_case "a005 aliased obj" `Quick test_a005_aliased_obj;
+    Alcotest.test_case "a005 comments and strings" `Quick test_a005_comments_and_strings;
+    Alcotest.test_case "a005 exact line after literals" `Quick
+      test_a005_code_after_literal_exact_line;
+    Alcotest.test_case "a005 name boundaries" `Quick test_a005_name_boundaries;
+    Alcotest.test_case "a006 library printing" `Quick test_a006_library_printing;
+    Alcotest.test_case "a006 open and alias" `Quick test_a006_open_and_alias;
+    Alcotest.test_case "a007 missing mli" `Quick test_a007_missing_mli;
+    Alcotest.test_case "allowlist suppression" `Quick test_allowlist_suppression;
+    Alcotest.test_case "finding to diagnostic" `Quick test_finding_to_diagnostic;
     Alcotest.test_case "parse failure" `Quick test_parse_failure_is_a_finding;
     Alcotest.test_case "suppression comment" `Quick test_suppression_comment;
     Alcotest.test_case "suppression needs reason" `Quick test_suppression_needs_reason;

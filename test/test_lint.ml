@@ -1,6 +1,6 @@
 (* Tests for the lint library: instance diagnostics over adversarial
-   matrices / graphs / configs, and the source-rule engine behind
-   tools/repolint exercised on in-memory fixture strings. *)
+   matrices / graphs / configs, and the diagnostic sort/JSON rendering.
+   The source-tree rules live in the AST analyzer (test_analysis.ml). *)
 
 let has_code code ds = List.exists (fun d -> d.Lint.Diagnostic.code = code) ds
 
@@ -157,124 +157,6 @@ let test_sort_and_json () =
        (Lint.Diagnostic.to_json
           [ Lint.Diagnostic.make Lint.Diagnostic.Info ~code:"Q" ~context:"c" {|say "hi"|} ]))
 
-(* ---------------- source rules (repolint engine) ---------------- *)
-
-let scan path text = Lint.Source_rules.scan_file ~path text
-
-let rule_ids vs = List.map (fun v -> v.Lint.Source_rules.rule_id) vs
-
-let test_migrated_rules_not_token_scanned () =
-  (* R001/R002/R006 migrated to the AST passes A002/A004 in lib/analysis/
-     (token matching cannot resolve aliases or shadowing); the token
-     scanner must no longer report them. *)
-  let bad =
-    "let t0 = Unix.gettimeofday ()\n"
-    ^ "let () = Random.self_init ()\n"
-    ^ "let v = problem.costs.(0).(1)\n"
-  in
-  let ids = rule_ids (scan "lib/cp/search.ml" bad) in
-  check_bool "no R001" false (List.mem "R001" ids);
-  check_bool "no R002" false (List.mem "R002" ids);
-  check_bool "no R006" false (List.mem "R006" ids);
-  check_bool "rule table dropped them" true
-    (List.for_all
-       (fun (r : Lint.Source_rules.rule) ->
-         r.id <> "R001" && r.id <> "R002" && r.id <> "R006")
-       Lint.Source_rules.rules)
-
-let test_r003_obj_magic () =
-  let bad = "let cast (x : int) : string = Obj.magic x" in
-  check_bool "flagged everywhere" true
-    (List.mem "R003" (rule_ids (scan "bin/cloudia_cli.ml" bad)))
-
-let test_r004_library_printing () =
-  let bad = "let () = Printf.printf \"hi\"; print_endline \"bye\"" in
-  let vs = scan "lib/cloudia/advisor.ml" bad in
-  check_bool "flagged in lib" true (List.mem "R004" (rule_ids vs));
-  check_int "both call sites" 2
-    (List.length (List.filter (fun v -> v.Lint.Source_rules.rule_id = "R004") vs));
-  check_bool "binaries may print" false
-    (List.mem "R004" (rule_ids (scan "bin/cloudia_cli.ml" bad)))
-
-let test_r005_missing_mli () =
-  let vs =
-    Lint.Source_rules.missing_mli
-      ~paths:
-        [
-          "lib/cp/search.ml"; "lib/cp/search.mli"; "lib/cp/orphan.ml";
-          "bin/cloudia_cli.ml" (* binaries are exempt *);
-        ]
-  in
-  check_int "one missing interface" 1 (List.length vs);
-  (match vs with
-  | [ v ] ->
-      Alcotest.(check string) "which file" "lib/cp/orphan.ml" v.Lint.Source_rules.path
-  | _ -> Alcotest.fail "expected exactly one R005 violation")
-
-let test_sanitizer_ignores_comments_and_strings () =
-  let text =
-    "(* Obj.magic is banned everywhere *)\n"
-    ^ "let doc = \"call Obj.magic never\"\n"
-    ^ "let raw = {|Obj.magic in a quoted block|}\n"
-    ^ "let tick = 'x'\n"
-  in
-  check_int "nothing flagged" 0 (List.length (scan "lib/cp/search.ml" text));
-  (* Nested comments stay blanked to the outer close. *)
-  let nested = "(* outer (* Obj.magic *) still comment *) let x = 1" in
-  check_int "nested comment" 0 (List.length (scan "lib/cp/search.ml" nested));
-  (* ...but real code after the comment is still scanned. *)
-  let mixed = "(* fine *) let cast x = Obj.magic x" in
-  check_bool "code after comment flagged" true
-    (List.mem "R003" (rule_ids (scan "lib/cp/search.ml" mixed)))
-
-let test_sanitizer_delimited_quoted_strings () =
-  (* {id|...|id} quoted strings: only the matching |id} closes, so a bare
-     "|}" inside the body must not end the blanking early. *)
-  let text = "let payload = {json|{\"x\": [1]} Obj.magic |} still |json}\n" in
-  check_int "delimited string blanked" 0 (List.length (scan "lib/cp/search.ml" text));
-  let after = "let p = {q|Obj.magic|q}\nlet cast x = Obj.magic x\n" in
-  check_bool "code after delimited string still scanned" true
-    (List.mem "R003" (rule_ids (scan "lib/cp/search.ml" after)));
-  (* Sanitizing preserves byte offsets, so the violation line is exact. *)
-  (match scan "lib/cp/search.ml" after with
-  | [ v ] -> check_int "line" 2 v.Lint.Source_rules.line
-  | vs -> Alcotest.fail (Printf.sprintf "expected one violation, got %d" (List.length vs)));
-  (* '{' that opens a record, not a quoted string, is left alone. *)
-  check_bool "record braces untouched" true
-    (List.mem "R003" (rule_ids (scan "lib/cp/search.ml" "let r = { x = Obj.magic 1 }")))
-
-let test_token_boundaries () =
-  (* My_Obj.magic_backup is not Obj.magic. *)
-  let similar = "let x = My_Obj.magic_backup ()" in
-  check_int "no false positive" 0 (List.length (scan "lib/cp/search.ml" similar))
-
-let test_allowlist_suppression () =
-  let bad = "let () = Printf.printf \"hi\"" in
-  let vs = scan "lib/cp/search.ml" bad in
-  let allows =
-    Lint.Source_rules.parse_allowlist
-      "# debug CLI surface, tracked in ROADMAP\nR004 lib/cp/\n"
-  in
-  let kept, suppressed = Lint.Source_rules.partition_allowed allows vs in
-  check_int "suppressed" 1 (List.length suppressed);
-  check_int "kept" 0 (List.length kept);
-  (* Wrong rule id or non-matching prefix keeps the violation. *)
-  let allows = Lint.Source_rules.parse_allowlist "R003 lib/cp/\nR004 lib/lp/\n" in
-  let kept, suppressed = Lint.Source_rules.partition_allowed allows vs in
-  check_int "not suppressed" 0 (List.length suppressed);
-  check_int "kept unmatched" 1 (List.length kept)
-
-let test_violation_to_diagnostic () =
-  let bad = "let cast x = Obj.magic x" in
-  match scan "lib/cp/search.ml" bad with
-  | [ v ] ->
-      let d = Lint.Source_rules.violation_to_diagnostic v in
-      check_bool "error severity" true
-        (d.Lint.Diagnostic.severity = Lint.Diagnostic.Error);
-      Alcotest.(check string) "code" "R003" d.Lint.Diagnostic.code;
-      Alcotest.(check string) "context" "lib/cp/search.ml:1" d.Lint.Diagnostic.context
-  | vs -> Alcotest.fail (Printf.sprintf "expected one violation, got %d" (List.length vs))
-
 (* ---------------- hardened numeric entry points ---------------- *)
 
 let test_kmeans_rejects_nan () =
@@ -305,17 +187,6 @@ let suite =
     Alcotest.test_case "config checks" `Quick test_config_checks;
     Alcotest.test_case "check strictness" `Quick test_check_raises_and_strict;
     Alcotest.test_case "sort and json" `Quick test_sort_and_json;
-    Alcotest.test_case "migrated rules not token-scanned" `Quick
-      test_migrated_rules_not_token_scanned;
-    Alcotest.test_case "R003 obj magic" `Quick test_r003_obj_magic;
-    Alcotest.test_case "R004 library printing" `Quick test_r004_library_printing;
-    Alcotest.test_case "R005 missing mli" `Quick test_r005_missing_mli;
-    Alcotest.test_case "sanitizer" `Quick test_sanitizer_ignores_comments_and_strings;
-    Alcotest.test_case "sanitizer delimited strings" `Quick
-      test_sanitizer_delimited_quoted_strings;
-    Alcotest.test_case "token boundaries" `Quick test_token_boundaries;
-    Alcotest.test_case "allowlist suppression" `Quick test_allowlist_suppression;
-    Alcotest.test_case "violation to diagnostic" `Quick test_violation_to_diagnostic;
     Alcotest.test_case "kmeans rejects nan" `Quick test_kmeans_rejects_nan;
     Alcotest.test_case "metrics reject inf" `Quick test_metrics_rejects_inf;
   ]
