@@ -47,11 +47,24 @@ val add_forbidden_pairs : t -> x:int -> y:int -> bad:Domain.t array -> unit
 
 val propagate : t -> propagation
 (** Run all propagators to fixpoint. [Failure] means some domain emptied.
-    The alldifferent propagator is incremental: it keeps the last maximum
-    matching inside [t], revalidates it against the live domains, and
-    re-augments only the variables that lost their match — the filtered
-    edge set is matching-invariant, so prunings are identical to a
-    from-scratch run. *)
+
+    The schedule is event-driven: only the constraints on variables whose
+    domain differs from the last fixpoint run, whoever changed it (the
+    search, {!restore}, or a direct write through {!domain}), and the
+    binary constraints drain before [alldifferent] runs. Every propagator
+    is monotone, so the fixpoint, the domains it leaves and the returned
+    status are those of running every propagator round-robin; only the
+    work differs. The alldifferent propagator is incremental: it keeps the
+    last maximum matching inside [t], revalidates it against the live
+    domains, and re-augments only the variables that lost their match —
+    the filtered edge set is matching-invariant, so prunings are identical
+    to a from-scratch run. A propagation allocates nothing. *)
+
+val forbidden_runs : t -> int
+(** Forbidden-pair propagator runs so far, over the life of [t]. *)
+
+val alldiff_runs : t -> int
+(** Alldifferent propagator runs so far, over the life of [t]. *)
 
 val reset : t -> unit
 (** Refill every domain to the full value range and drop all binary

@@ -5,11 +5,11 @@ type t = {
 
 let bits_per_word = 63
 
-let word_count universe = (universe + bits_per_word - 1) / bits_per_word
+let words_for universe = (universe + bits_per_word - 1) / bits_per_word
 
 let full universe =
   if universe < 0 then invalid_arg "Domain.full: negative universe";
-  let nw = word_count universe in
+  let nw = words_for universe in
   let words = Array.make (max nw 1) 0 in
   for v = 0 to universe - 1 do
     let w = v / bits_per_word and b = v mod bits_per_word in
@@ -19,7 +19,7 @@ let full universe =
 
 let empty universe =
   if universe < 0 then invalid_arg "Domain.empty: negative universe";
-  { universe; words = Array.make (max (word_count universe) 1) 0 }
+  { universe; words = Array.make (max (words_for universe) 1) 0 }
 
 let universe t = t.universe
 
@@ -55,57 +55,63 @@ let fix t v =
   Array.fill t.words 0 (Array.length t.words) 0;
   add t v
 
-let popcount x =
-  let rec go x acc = if x = 0 then acc else go (x land (x - 1)) (acc + 1) in
-  go x 0
+(* The queries and set operations below, apart from the closure-taking
+   walks [iter], [fold], [to_list] and [keep_only], allocate nothing: the
+   propagators call them at every search node. *)
 
-let size t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
+(* Index of the lowest set bit of a non-zero word, branch-free: the
+   isolated bit converts exactly to a float (a power of two, negative for
+   the word's top bit), whose exponent field is the index. The conversions
+   are unboxed primitives, so nothing is allocated. *)
+let lowest_bit x =
+  let low = x land -x in
+  ((Int64.to_int (Int64.bits_of_float (Float.of_int low)) lsr 52) land 0x7FF) - 1023
 
-let is_empty t = Array.for_all (fun w -> w = 0) t.words
+let rec popcount x acc = if x = 0 then acc else popcount (x land (x - 1)) (acc + 1)
 
-let is_singleton t =
+let[@cloudia.hot] size t =
+  let acc = ref 0 in
+  for i = 0 to Array.length t.words - 1 do
+    acc := popcount t.words.(i) !acc
+  done;
+  !acc
+
+let[@cloudia.hot] is_empty t =
+  let i = ref 0 and n = Array.length t.words in
+  while !i < n && t.words.(!i) = 0 do
+    incr i
+  done;
+  !i = n
+
+let[@cloudia.hot] is_singleton t =
   (* Exactly one bit set across all words. *)
-  let seen = ref 0 in
-  (try
-     Array.iter
-       (fun w ->
-         if w <> 0 then begin
-           if w land (w - 1) <> 0 then begin
-             seen := 2;
-             raise Exit
-           end;
-           incr seen;
-           if !seen > 1 then raise Exit
-         end)
-       t.words
-   with Exit -> ());
+  let seen = ref 0 and i = ref 0 and n = Array.length t.words in
+  while !seen <= 1 && !i < n do
+    let w = t.words.(!i) in
+    if w <> 0 then seen := if w land (w - 1) <> 0 then 2 else !seen + 1;
+    incr i
+  done;
   !seen = 1
 
-let min_value t =
-  let result = ref (-1) in
-  (try
-     Array.iteri
-       (fun wi w ->
-         if w <> 0 then begin
-           let b = ref 0 in
-           while w land (1 lsl !b) = 0 do
-             incr b
-           done;
-           result := (wi * bits_per_word) + !b;
-           raise Exit
-         end)
-       t.words
-   with Exit -> ());
-  if !result = -1 then raise Not_found else !result
+let word_count t = Array.length t.words
+let word t i = t.words.(i)
+
+let[@cloudia.hot] min_value t =
+  let wi = ref 0 and n = Array.length t.words in
+  while !wi < n && t.words.(!wi) = 0 do
+    incr wi
+  done;
+  if !wi = n then raise Not_found else (!wi * bits_per_word) + lowest_bit t.words.(!wi)
 
 let iter f t =
-  Array.iteri
-    (fun wi w ->
-      if w <> 0 then
-        for b = 0 to bits_per_word - 1 do
-          if w land (1 lsl b) <> 0 then f ((wi * bits_per_word) + b)
-        done)
-    t.words
+  for wi = 0 to Array.length t.words - 1 do
+    let w = ref t.words.(wi) in
+    while !w <> 0 do
+      let low = !w land - !w in
+      w := !w lxor low;
+      f ((wi * bits_per_word) + lowest_bit low)
+    done
+  done
 
 let fold f init t =
   let acc = ref init in
@@ -119,26 +125,50 @@ let keep_only t pred =
   iter (fun v -> if (not (pred v)) && remove t v then changed := true) t;
   !changed
 
-let intersects_complement d bad =
+let[@cloudia.hot] intersects_complement d bad =
   if d.universe <> bad.universe then invalid_arg "Domain.intersects_complement: universe mismatch";
-  let result = ref false in
-  (try
-     for i = 0 to Array.length d.words - 1 do
-       if d.words.(i) land lnot bad.words.(i) <> 0 then begin
-         result := true;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  !result
+  let i = ref 0 and n = Array.length d.words in
+  while !i < n && d.words.(!i) land lnot bad.words.(!i) = 0 do
+    incr i
+  done;
+  !i < n
 
-let subtract d bad =
+let[@cloudia.hot] equal a b =
+  if a.universe <> b.universe then invalid_arg "Domain.equal: universe mismatch";
+  let i = ref 0 and n = Array.length a.words in
+  while !i < n && a.words.(!i) = b.words.(!i) do
+    incr i
+  done;
+  !i = n
+
+let[@cloudia.hot] subtract d bad =
   if d.universe <> bad.universe then invalid_arg "Domain.subtract: universe mismatch";
   let changed = ref false in
   for i = 0 to Array.length d.words - 1 do
     let nw = d.words.(i) land lnot bad.words.(i) in
     if nw <> d.words.(i) then begin
       d.words.(i) <- nw;
+      changed := true
+    end
+  done;
+  !changed
+
+let[@cloudia.hot] revise d ~support ~conflicts =
+  if d.universe <> support.universe || Array.length conflicts <> d.universe then
+    invalid_arg "Domain.revise: universe mismatch";
+  let changed = ref false and rest = ref 0 and kept = ref 0 in
+  for wi = 0 to Array.length d.words - 1 do
+    let word = d.words.(wi) in
+    rest := word;
+    kept := word;
+    while !rest <> 0 do
+      let low = !rest land (- !rest) in
+      rest := !rest lxor low;
+      let j = (wi * bits_per_word) + lowest_bit low in
+      if not (intersects_complement support conflicts.(j)) then kept := !kept lxor low
+    done;
+    if !kept <> word then begin
+      d.words.(wi) <- !kept;
       changed := true
     end
   done;

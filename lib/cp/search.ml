@@ -18,6 +18,8 @@ exception Out_of_budget
 let c_nodes = Obs.Counter.make "cp.search.nodes"
 let c_failures = Obs.Counter.make "cp.search.failures"
 let c_propagations = Obs.Counter.make "cp.search.propagations"
+let c_forbidden_runs = Obs.Counter.make "cp.search.forbidden_runs"
+let c_alldiff_runs = Obs.Counter.make "cp.search.alldiff_runs"
 
 (* Per-node propagation latency; recorded only under tracing so the
    untraced node loop keeps zero clock reads. *)
@@ -75,6 +77,7 @@ let solve ?time_limit ?node_limit ?should_stop ?value_classes
     | _ -> ()
   in
   let initial = Csp.save csp in
+  let forbidden_runs0 = Csp.forbidden_runs csp and alldiff_runs0 = Csp.alldiff_runs csp in
   (* Symmetric-value dedup: at a branch node, values of the same
      (root-refined) interchangeability class are pairwise swappable by a
      problem automorphism fixing the path's assignments, so trying more
@@ -174,6 +177,8 @@ let solve ?time_limit ?node_limit ?should_stop ?value_classes
     Obs.Counter.add c_nodes !nodes;
     Obs.Counter.add c_failures !failures;
     Obs.Counter.add c_propagations !propagations;
+    Obs.Counter.add c_forbidden_runs (Csp.forbidden_runs csp - forbidden_runs0);
+    Obs.Counter.add c_alldiff_runs (Csp.alldiff_runs csp - alldiff_runs0);
     ( outcome,
       {
         nodes = !nodes;

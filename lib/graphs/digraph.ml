@@ -4,14 +4,18 @@ type t = {
   inn : int array array;
 }
 
-let sort_dedup lst =
+let sort_dedup (lst : int list) =
   let a = Array.of_list lst in
-  Array.sort compare a;
-  let out = ref [] in
+  Array.sort Int.compare a;
+  let k = ref 0 in
   Array.iter
-    (fun x -> match !out with y :: _ when y = x -> () | _ -> out := x :: !out)
+    (fun x ->
+      if !k = 0 || a.(!k - 1) <> x then begin
+        a.(!k) <- x;
+        incr k
+      end)
     a;
-  Array.of_list (List.rev !out)
+  if !k = Array.length a then a else Array.sub a 0 !k
 
 let create ~n edges =
   if n < 0 then invalid_arg "Digraph.create: negative node count";
@@ -66,10 +70,35 @@ let in_neighbors t u = t.inn.(u)
 let out_degree t u = Array.length t.out.(u)
 let in_degree t u = Array.length t.inn.(u)
 
-let undirected_neighbors t u =
-  sort_dedup (Array.to_list t.out.(u) @ Array.to_list t.inn.(u))
+(* Walk the union of u's sorted, duplicate-free out- and in-neighbour
+   arrays in ascending order, calling [emit] once per distinct node. *)
+let merge_neighbors t u emit =
+  let a = t.out.(u) and b = t.inn.(u) in
+  let la = Array.length a and lb = Array.length b in
+  let i = ref 0 and j = ref 0 in
+  while !i < la || !j < lb do
+    if !j >= lb || (!i < la && a.(!i) < b.(!j)) then begin
+      emit a.(!i);
+      incr i
+    end
+    else begin
+      if !i < la && a.(!i) = b.(!j) then incr i;
+      emit b.(!j);
+      incr j
+    end
+  done
 
-let undirected_degree t u = Array.length (undirected_neighbors t u)
+let undirected_degree t u =
+  let d = ref 0 in
+  merge_neighbors t u (fun _ -> incr d);
+  !d
+
+let undirected_neighbors t u =
+  let out = Array.make (undirected_degree t u) 0 and k = ref 0 in
+  merge_neighbors t u (fun v ->
+      out.(!k) <- v;
+      incr k);
+  out
 
 let topological_order t =
   let indeg = Array.init t.n (fun v -> in_degree t v) in

@@ -7,17 +7,18 @@ type result = {
 let distinct_sorted xs =
   let sorted = Array.copy xs in
   Array.sort Float.compare sorted;
-  let out = ref [] and count = ref [] in
-  Array.iter
-    (fun x ->
-      match !out with
-      | y :: _ when y = x ->
-          (match !count with c :: rest -> count := (c + 1) :: rest | [] -> assert false)
-      | _ ->
-          out := x :: !out;
-          count := 1 :: !count)
-    sorted;
-  (Array.of_list (List.rev !out), Array.of_list (List.rev !count))
+  (* Compact runs of equal values in place, counting each run. *)
+  let n = Array.length sorted in
+  let counts = Array.make n 0 and d = ref 0 in
+  for i = 0 to n - 1 do
+    if !d > 0 && sorted.(!d - 1) = sorted.(i) then counts.(!d - 1) <- counts.(!d - 1) + 1
+    else begin
+      sorted.(!d) <- sorted.(i);
+      counts.(!d) <- 1;
+      incr d
+    end
+  done;
+  (Array.sub sorted 0 !d, Array.sub counts 0 !d)
 
 let distinct_count xs = Array.length (fst (distinct_sorted xs))
 
@@ -60,16 +61,36 @@ let cluster ~k xs =
   for j = 0 to n - 1 do
     dp.(0).(j) <- sse 0 j
   done;
-  for c = 1 to k - 1 do
-    for j = c to n - 1 do
-      for i = c to j do
-        let cand = dp.(c - 1).(i - 1) +. sse i j in
-        if cand < dp.(c).(j) then begin
-          dp.(c).(j) <- cand;
-          back.(c).(j) <- i
+  (* Row c by divide and conquer over j: the optimal split of the prefix
+     ending at j never moves left as j grows (SSE satisfies the quadrangle
+     inequality), so the middle j's split bounds both halves' searches.
+     Each candidate range is scanned in ascending i with a strict [<], the
+     same leftmost-argmin rule as the plain O(N²) scan over [c, j], so
+     [dp] and [back] match it bit for bit in O(N log N) per row. *)
+  let rec row c jlo jhi ilo ihi =
+    if jlo <= jhi then begin
+      let j = (jlo + jhi) / 2 in
+      let prev = dp.(c - 1) in
+      let w_j = pw.(j + 1) and s_j = ps.(j + 1) and ss_j = pss.(j + 1) in
+      let best = ref infinity and split = ref ilo in
+      for i = ilo to min j ihi do
+        (* [sse i j], inlined: the same operations in the same order. *)
+        let w = w_j -. pw.(i) and s = s_j -. ps.(i) and ss = ss_j -. pss.(i) in
+        let e = ss -. (s *. s /. w) in
+        let cand = prev.(i - 1) +. if e < 0.0 then 0.0 else e in
+        if cand < !best then begin
+          best := cand;
+          split := i
         end
-      done
-    done
+      done;
+      dp.(c).(j) <- !best;
+      back.(c).(j) <- !split;
+      row c jlo (j - 1) ilo !split;
+      row c (j + 1) jhi !split ihi
+    end
+  in
+  for c = 1 to k - 1 do
+    row c c (n - 1) c (n - 1)
   done;
   (* Reconstruct boundaries. *)
   let starts = Array.make k 0 in

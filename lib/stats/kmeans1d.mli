@@ -3,9 +3,11 @@
     Sect. 6.3 of the paper clusters link costs with k-means before handing
     them to the solvers: "Since the link costs are in one dimension, such
     k-means can be optimally solved in O(kN) time using dynamic programming".
-    We implement the classic O(k·N²) interval DP (N = number of distinct
-    values, a few hundred here), which is exact and fast enough; the
-    SMAWK-accelerated O(kN) variant is an optimization we do not need. *)
+    We implement the interval DP, exact, with each of its k rows filled by
+    divide and conquer over the split index (O(k·N log N), N = number of
+    distinct values — 1560 on a 40-instance matrix). The result is
+    bit-identical to the plain O(k·N²) scan, which the test suite keeps
+    as its oracle. *)
 
 type result = {
   centers : float array;    (** cluster means, ascending *)

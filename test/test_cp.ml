@@ -333,8 +333,214 @@ let test_csp_reset_reuses_alldifferent () =
   | Search.Sat s, _ -> Alcotest.(check bool) "alldifferent survives reset" true (s.(0) <> s.(1))
   | _ -> Alcotest.fail "satisfiable after reset"
 
+(* ---------- Propagation: reference fixpoint and allocation ---------- *)
+
+(* A naive reference for [Csp.propagate]: pairwise arc-consistency
+   revision of every forbidden pair plus generalized arc consistency for
+   alldifferent (a value stays iff some injective assignment within the
+   domains uses it, found by enumerating them all), repeated until nothing
+   changes. Domains are bool arrays; the result is the fixpoint and the
+   status [Csp.propagate] must report on the same input. *)
+let reference_fixpoint ~nvalues ~alldiff ~pairs domains =
+  let nvars = Array.length domains in
+  let d = Array.map Array.copy domains in
+  let removed = ref false in
+  let remove x v =
+    if d.(x).(v) then begin
+      d.(x).(v) <- false;
+      removed := true
+    end
+  in
+  let revise x y ok =
+    for v = 0 to nvalues - 1 do
+      if d.(x).(v) then begin
+        let supported = ref false in
+        for w = 0 to nvalues - 1 do
+          if d.(y).(w) && ok v w then supported := true
+        done;
+        if not !supported then remove x v
+      end
+    done
+  in
+  let gac () =
+    let used = Array.make nvalues false and support = Array.make_matrix nvars nvalues false in
+    let assignment = Array.make nvars 0 in
+    let rec go x =
+      if x = nvars then Array.iteri (fun x v -> support.(x).(v) <- true) assignment
+      else
+        for v = 0 to nvalues - 1 do
+          if d.(x).(v) && not used.(v) then begin
+            used.(v) <- true;
+            assignment.(x) <- v;
+            go (x + 1);
+            used.(v) <- false
+          end
+        done
+    in
+    go 0;
+    for x = 0 to nvars - 1 do
+      for v = 0 to nvalues - 1 do
+        if not support.(x).(v) then remove x v
+      done
+    done
+  in
+  let changed = ref false and continue = ref true in
+  while !continue do
+    removed := false;
+    List.iter
+      (fun (x, y, bad) ->
+        revise x y (fun v w -> not bad.(v).(w));
+        revise y x (fun w v -> not bad.(v).(w)))
+      pairs;
+    if alldiff then gac ();
+    if !removed then changed := true else continue := false
+  done;
+  let constrained x = alldiff || List.exists (fun (a, b, _) -> a = x || b = x) pairs in
+  let wiped = ref false in
+  Array.iteri (fun x dx -> if constrained x && not (Array.exists Fun.id dx) then wiped := true) d;
+  ((if !wiped then Csp.Failure else if !changed then Csp.Progress else Csp.Fixpoint), d)
+
+let status_name = function Csp.Failure -> "failure" | Progress -> "progress" | Fixpoint -> "fixpoint"
+
+let read_domains csp =
+  Array.init (Csp.nvars csp) (fun x ->
+      Array.init (Csp.nvalues csp) (fun v -> Domain.mem (Csp.domain csp x) v))
+
+(* One random scenario: a CSP with ≤ 6 variables over ≤ 8 values, random
+   forbidden matrices and (usually) alldifferent, driven through a random
+   sequence of direct domain edits (shrinking and growing), branching-like
+   fixes, save/restore and reset. Before every propagation the reference
+   runs on the very same domains; the statuses must agree, and so must
+   the domains unless the run failed (what a failed run leaves behind is
+   unspecified). *)
+let propagate_matches_reference seed =
+  let rng = Prng.create seed in
+  let nvars = 1 + Prng.int rng 6 in
+  let nvalues = nvars + Prng.int rng (9 - nvars) in
+  let csp = Csp.create ~nvars ~nvalues in
+  let alldiff = Prng.int rng 4 > 0 in
+  if alldiff then Csp.add_alldifferent csp;
+  let post () =
+    let density = Prng.float rng 0.6 in
+    List.init
+      (Prng.int rng (if nvars < 2 then 1 else 9))
+      (fun _ ->
+        let x = Prng.int rng nvars in
+        let y = (x + 1 + Prng.int rng (nvars - 1)) mod nvars in
+        let bad = Array.init nvalues (fun _ -> Array.init nvalues (fun _ -> Prng.uniform rng < density)) in
+        Csp.add_forbidden_pairs csp ~x ~y ~bad:(forbidden_matrix nvalues (fun v w -> bad.(v).(w)));
+        (x, y, bad))
+  in
+  let pairs = ref (post ()) in
+  let snapshots = ref [ Csp.save csp ] in
+  let ok = ref true in
+  for _ = 1 to 12 do
+    (match Prng.int rng 6 with
+    | 0 ->
+        (* Branch: fix a variable to one of its values. *)
+        let x = Prng.int rng nvars in
+        let members = Domain.to_list (Csp.domain csp x) in
+        if members <> [] then Domain.fix (Csp.domain csp x) (List.nth members (Prng.int rng (List.length members)))
+    | 1 -> ignore (Domain.remove (Csp.domain csp (Prng.int rng nvars)) (Prng.int rng nvalues))
+    | 2 -> Domain.add (Csp.domain csp (Prng.int rng nvars)) (Prng.int rng nvalues)
+    | 3 -> Csp.restore csp (List.nth !snapshots (Prng.int rng (List.length !snapshots)))
+    | 4 ->
+        Csp.reset csp;
+        pairs := post ();
+        snapshots := [ Csp.save csp ]
+    | _ -> ());
+    let before = read_domains csp in
+    let got = Csp.propagate csp in
+    let expected, fixpoint = reference_fixpoint ~nvalues ~alldiff ~pairs:!pairs before in
+    if got <> expected then begin
+      ok := false;
+      QCheck.Test.fail_reportf "seed %d: status %s, reference %s" seed (status_name got)
+        (status_name expected)
+    end;
+    if got <> Csp.Failure then begin
+      if read_domains csp <> fixpoint then begin
+        ok := false;
+        QCheck.Test.fail_reportf "seed %d: domains differ from the reference fixpoint" seed
+      end;
+      snapshots := Csp.save csp :: !snapshots
+    end
+  done;
+  !ok
+
+let test_propagate_allocates_nothing () =
+  (* 8-queens: alldifferent plus 28 forbidden pairs. Once the first
+     propagation has built the watch lists, a branch-and-propagate cycle
+     must not touch the minor heap. *)
+  let n = 8 in
+  let csp = Csp.create ~nvars:n ~nvalues:n in
+  Csp.add_alldifferent csp;
+  for i = 0 to n - 1 do
+    for k = i + 1 to n - 1 do
+      Csp.add_forbidden_pairs csp ~x:i ~y:k ~bad:(forbidden_matrix n (fun j j' -> abs (j - j') = k - i))
+    done
+  done;
+  ignore (Csp.propagate csp : Csp.propagation);
+  let root = Csp.save csp in
+  let cycle () =
+    for v = 0 to n - 1 do
+      Csp.restore csp root;
+      Domain.fix (Csp.domain csp 0) v;
+      ignore (Csp.propagate csp : Csp.propagation);
+      Domain.fix (Csp.domain csp 1) ((v + 3) mod n);
+      ignore (Csp.propagate csp : Csp.propagation)
+    done
+  in
+  cycle ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 100 do
+    cycle ()
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "1600 propagations allocated %.0f words" words)
+    true (words < 100.)
+
 let qcheck_props =
   [
+    QCheck.Test.make ~name:"word walk visits the members in order" ~count:200
+      QCheck.(list (int_range 0 129))
+      (fun values ->
+        (* 130 values span three words, so every word's top bit is hit. *)
+        let d = Domain.empty 130 in
+        List.iter (Domain.add d) (62 :: 125 :: values);
+        let walked = ref [] in
+        for wi = 0 to Domain.word_count d - 1 do
+          let w = ref (Domain.word d wi) in
+          while !w <> 0 do
+            let low = !w land - !w in
+            w := !w lxor low;
+            walked := ((wi * Domain.bits_per_word) + Domain.lowest_bit low) :: !walked
+          done
+        done;
+        let members = List.filter (Domain.mem d) (List.init 130 Fun.id) in
+        List.rev !walked = members && Domain.to_list d = members
+        && Domain.min_value d = List.hd members);
+    QCheck.Test.make ~name:"revise removes exactly the unsupported values" ~count:200 QCheck.int
+      (fun seed ->
+        let rng = Prng.create seed in
+        let n = 1 + Prng.int rng 130 in
+        let random_set density =
+          let s = Domain.empty n in
+          for v = 0 to n - 1 do
+            if Prng.uniform rng < density then Domain.add s v
+          done;
+          s
+        in
+        let d = random_set 0.7 and support = random_set (Prng.float rng 0.3) in
+        let conflicts = Array.init n (fun _ -> random_set (0.6 +. Prng.float rng 0.4)) in
+        let expected =
+          List.filter (fun j -> Domain.intersects_complement support conflicts.(j)) (Domain.to_list d)
+        in
+        let before = Domain.size d in
+        let changed = Domain.revise d ~support ~conflicts in
+        Domain.to_list d = expected && changed = (List.length expected < before));
+    QCheck.Test.make ~name:"propagate matches the reference fixpoint" ~count:300 QCheck.int
+      propagate_matches_reference;
     QCheck.Test.make ~name:"search solutions satisfy alldifferent" ~count:50
       QCheck.(pair small_int (int_range 2 8))
       (fun (seed, n) ->
@@ -398,5 +604,6 @@ let suite =
     Alcotest.test_case "value classes stay complete" `Quick
       test_search_value_classes_complete_sat;
     Alcotest.test_case "csp reset reuse" `Quick test_csp_reset_reuses_alldifferent;
+    Alcotest.test_case "propagate allocates nothing" `Quick test_propagate_allocates_nothing;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_props

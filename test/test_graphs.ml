@@ -201,23 +201,34 @@ let test_matching_consistency () =
 
 (* ---------- Scc ---------- *)
 
+(* Components of [g] through the CSR core: (count, component per node). *)
+let scc g =
+  let n = Digraph.n g in
+  let first = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    first.(v + 1) <- first.(v) + Digraph.out_degree g v
+  done;
+  let adj = Array.concat (List.init n (Digraph.out_neighbors g)) in
+  let comp = Array.make n (-1) in
+  let count = Scc.tarjan_csr (Scc.workspace (n + 3)) ~n ~first ~adj ~comp in
+  (count, comp)
+
 let test_scc_cycle_plus_tail () =
   (* 0 -> 1 -> 2 -> 0 is one SCC; 3 is alone. *)
-  let g = Digraph.create ~n:4 [ (0, 1); (1, 2); (2, 0); (2, 3) ] in
-  let comp = Scc.tarjan ~n:4 ~succ:(Digraph.out_neighbors g) in
-  Alcotest.(check int) "two components" 2 (Scc.count comp);
+  let count, comp = scc (Digraph.create ~n:4 [ (0, 1); (1, 2); (2, 0); (2, 3) ]) in
+  Alcotest.(check int) "two components" 2 count;
   Alcotest.(check bool) "cycle together" true (comp.(0) = comp.(1) && comp.(1) = comp.(2));
   Alcotest.(check bool) "tail separate" true (comp.(3) <> comp.(0))
 
 let test_scc_dag_all_singletons () =
-  let g = Digraph.create ~n:5 [ (0, 1); (1, 2); (2, 3); (3, 4) ] in
-  let comp = Scc.tarjan ~n:5 ~succ:(Digraph.out_neighbors g) in
-  Alcotest.(check int) "five singletons" 5 (Scc.count comp)
+  let count, comp = scc (Digraph.create ~n:5 [ (0, 1); (1, 2); (2, 3); (3, 4) ]) in
+  Alcotest.(check int) "five singletons" 5 count;
+  Alcotest.(check (list int)) "dense indices" [ 0; 1; 2; 3; 4 ]
+    (List.sort_uniq Int.compare (Array.to_list comp))
 
 let test_scc_two_cycles () =
-  let g = Digraph.create ~n:6 [ (0, 1); (1, 0); (2, 3); (3, 4); (4, 2); (1, 2) ] in
-  let comp = Scc.tarjan ~n:6 ~succ:(Digraph.out_neighbors g) in
-  Alcotest.(check int) "three components" 3 (Scc.count comp);
+  let count, comp = scc (Digraph.create ~n:6 [ (0, 1); (1, 0); (2, 3); (3, 4); (4, 2); (1, 2) ]) in
+  Alcotest.(check int) "three components" 3 count;
   Alcotest.(check bool) "pair cycle" true (comp.(0) = comp.(1));
   Alcotest.(check bool) "triple cycle" true (comp.(2) = comp.(3) && comp.(3) = comp.(4));
   Alcotest.(check bool) "isolated" true (comp.(5) <> comp.(0) && comp.(5) <> comp.(2))

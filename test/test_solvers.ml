@@ -139,6 +139,62 @@ let test_cp_beats_or_matches_greedy () =
     Alcotest.(check bool) "CP <= G2" true (r.Cp_solver.cost <= g2 +. 1e-9)
   done
 
+(* A seeded rows×cols mesh over [instances] uniform-random link costs. *)
+let mesh_problem ~rows ~cols ~instances seed =
+  let rng = Prng.create seed in
+  let graph = Graphs.Templates.mesh2d ~rows ~cols in
+  let costs =
+    Array.init instances (fun j ->
+        Array.init instances (fun j' -> if j = j' then 0.0 else 0.1 +. Prng.float rng 1.0))
+  in
+  Types.problem ~graph ~costs
+
+(* Node-capped, so the run never depends on the clock. *)
+let cp_capped ~node_limit seed p =
+  let options = { Cp_solver.default_options with Cp_solver.clusters = Some 20; time_limit = 1e6 } in
+  Cp_solver.solve ~options ~node_limit (Prng.create seed) p
+
+(* The search tree pinned: the counts, plan and cost bits of a node-capped
+   solve on the paper's 6×6 mesh over 40 instances. Propagation order is
+   free to change; the fixpoint, and so every one of these, is not. *)
+let test_cp_golden_search_tree () =
+  List.iter
+    (fun (seed, nodes, failures, propagations, iterations, cost_bits, plan) ->
+      let r = cp_capped ~node_limit:1000 seed (mesh_problem ~rows:6 ~cols:6 ~instances:40 seed) in
+      let name what = Printf.sprintf "seed %d %s" seed what in
+      Alcotest.(check int) (name "nodes") nodes r.Cp_solver.nodes;
+      Alcotest.(check int) (name "failures") failures r.Cp_solver.failures;
+      Alcotest.(check int) (name "propagations") propagations r.Cp_solver.propagations;
+      Alcotest.(check int) (name "iterations") iterations r.Cp_solver.iterations;
+      Alcotest.(check int64) (name "cost bits") cost_bits (Int64.bits_of_float r.Cp_solver.cost);
+      Alcotest.(check (array int)) (name "plan") plan r.Cp_solver.plan)
+    [
+      ( 1, 1000, 406, 1008, 9, 4604508480691886462L,
+        [| 22; 17; 24; 34; 39; 35; 3; 19; 27; 2; 11; 25; 21; 30; 32; 15; 12; 13; 0; 33; 9; 20;
+           16; 6; 23; 28; 10; 29; 18; 31; 7; 5; 4; 1; 14; 37 |] );
+      ( 2, 1000, 448, 1007, 8, 4604738886637735075L,
+        [| 36; 28; 26; 25; 13; 8; 24; 30; 7; 6; 0; 20; 3; 9; 39; 37; 33; 5; 15; 21; 10; 22; 4;
+           35; 1; 34; 31; 2; 18; 23; 11; 19; 12; 27; 38; 17 |] );
+    ]
+
+(* CP solves share no mutable state: two domains solving different
+   problems at once get exactly the serial answers. *)
+let test_cp_concurrent_solves_match_serial () =
+  let problems = Array.map (fun seed -> (seed, mesh_problem ~rows:4 ~cols:4 ~instances:24 seed)) [| 5; 6 |] in
+  let solve (seed, p) =
+    let r = cp_capped ~node_limit:200 seed p in
+    (r.Cp_solver.plan, Int64.bits_of_float r.Cp_solver.cost, r.Cp_solver.nodes, r.Cp_solver.failures,
+     r.Cp_solver.propagations, r.Cp_solver.iterations)
+  in
+  let serial = Array.map solve problems in
+  for round = 1 to 20 do
+    let other = Domain.spawn (fun () -> solve problems.(1)) in
+    let mine = solve problems.(0) in
+    let theirs = Domain.join other in
+    Alcotest.(check bool) (Printf.sprintf "round %d, domain 0" round) true (mine = serial.(0));
+    Alcotest.(check bool) (Printf.sprintf "round %d, domain 1" round) true (theirs = serial.(1))
+  done
+
 (* ---------- MIP solver ---------- *)
 
 let mip_opts = { Mip_solver.default_options with Mip_solver.time_limit = 30.0 }
@@ -359,6 +415,9 @@ let suite =
     Alcotest.test_case "cp iteration cap" `Quick test_cp_respects_iteration_cap;
     Alcotest.test_case "cp cooperative stop" `Quick test_cp_stops_cooperatively;
     Alcotest.test_case "cp beats greedy" `Quick test_cp_beats_or_matches_greedy;
+    Alcotest.test_case "cp golden search tree" `Quick test_cp_golden_search_tree;
+    Alcotest.test_case "cp concurrent solves match serial" `Quick
+      test_cp_concurrent_solves_match_serial;
     Alcotest.test_case "mip LL matches brute force" `Slow test_mip_ll_matches_brute_force;
     Alcotest.test_case "mip LP matches brute force" `Slow test_mip_lp_matches_brute_force;
     Alcotest.test_case "mip LP rejects cyclic" `Quick test_mip_lp_rejects_cyclic;

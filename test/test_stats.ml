@@ -188,8 +188,92 @@ let test_kmeans_matches_brute_force () =
     check_float ~tol:1e-6 "dp equals brute force" bf dp
   done
 
+(* The plain O(k·N²) interval DP, scanning every split: the oracle that
+   [Kmeans1d.cluster]'s divide-and-conquer rows must match bit for bit. *)
+let oracle_cluster ~k xs =
+  let sorted = Array.copy xs in
+  Array.sort Float.compare sorted;
+  let values = ref [] and weights = ref [] in
+  Array.iter
+    (fun x ->
+      match (!values, !weights) with
+      | y :: _, c :: rest when y = x -> weights := (c + 1) :: rest
+      | _ ->
+          values := x :: !values;
+          weights := 1 :: !weights)
+    sorted;
+  let values = Array.of_list (List.rev !values) and weights = Array.of_list (List.rev !weights) in
+  let n = Array.length values in
+  let k = min k n in
+  let pw = Array.make (n + 1) 0.0 and ps = Array.make (n + 1) 0.0 and pss = Array.make (n + 1) 0.0 in
+  for i = 0 to n - 1 do
+    let w = float_of_int weights.(i) in
+    pw.(i + 1) <- pw.(i) +. w;
+    ps.(i + 1) <- ps.(i) +. (w *. values.(i));
+    pss.(i + 1) <- pss.(i) +. (w *. values.(i) *. values.(i))
+  done;
+  let sse i j =
+    let w = pw.(j + 1) -. pw.(i) and s = ps.(j + 1) -. ps.(i) and ss = pss.(j + 1) -. pss.(i) in
+    let e = ss -. (s *. s /. w) in
+    if e < 0.0 then 0.0 else e
+  in
+  let dp = Array.make_matrix k n infinity and back = Array.make_matrix k n 0 in
+  for j = 0 to n - 1 do
+    dp.(0).(j) <- sse 0 j
+  done;
+  for c = 1 to k - 1 do
+    for j = c to n - 1 do
+      for i = c to j do
+        let cand = dp.(c - 1).(i - 1) +. sse i j in
+        if cand < dp.(c).(j) then begin
+          dp.(c).(j) <- cand;
+          back.(c).(j) <- i
+        end
+      done
+    done
+  done;
+  let starts = Array.make k 0 and j = ref (n - 1) in
+  for c = k - 1 downto 1 do
+    let i = back.(c).(!j) in
+    starts.(c) <- i;
+    j := i - 1
+  done;
+  let centers =
+    Array.init k (fun c ->
+        let lo = starts.(c) and hi = if c = k - 1 then n - 1 else starts.(c + 1) - 1 in
+        (ps.(hi + 1) -. ps.(lo)) /. (pw.(hi + 1) -. pw.(lo)))
+  in
+  { Kmeans1d.centers; boundaries = Array.map (fun i -> values.(i)) starts; cost = dp.(k - 1).(n - 1) }
+
+let bits xs = Array.map Int64.bits_of_float xs
+
+(* Multisets heavy in duplicates (a 6-value pool), in SSE ties (an evenly
+   spaced grid) or in neither (uniform floats), with k from 1 to past the
+   distinct count. *)
+let kmeans_input =
+  let open QCheck.Gen in
+  let value = function
+    | 0 -> map float_of_int (int_range 0 5)
+    | 1 -> map (fun i -> float_of_int i *. 0.5) (int_range 0 100)
+    | _ -> float_range 0. 10.
+  in
+  let gen =
+    int_range 0 2 >>= fun kind ->
+    int_range 1 60 >>= fun n ->
+    array_size (return n) (value kind) >>= fun xs ->
+    map (fun k -> (k, xs)) (int_range 1 (n + 3))
+  in
+  QCheck.make gen ~print:(fun (k, xs) ->
+      Printf.sprintf "k=%d [%s]" k (String.concat "; " (Array.to_list (Array.map string_of_float xs))))
+
 let qcheck_props =
   [
+    QCheck.Test.make ~name:"kmeans DP bit-identical to the O(kN^2) oracle" ~count:500 kmeans_input
+      (fun (k, xs) ->
+        let fast = Kmeans1d.cluster ~k xs and slow = oracle_cluster ~k xs in
+        bits fast.Kmeans1d.centers = bits slow.Kmeans1d.centers
+        && bits fast.Kmeans1d.boundaries = bits slow.Kmeans1d.boundaries
+        && Int64.bits_of_float fast.Kmeans1d.cost = Int64.bits_of_float slow.Kmeans1d.cost);
     QCheck.Test.make ~name:"percentile within [min,max]" ~count:300
       QCheck.(pair (array_of_size (QCheck.Gen.int_range 1 40) (float_range (-100.) 100.)) (float_range 0. 100.))
       (fun (xs, p) ->
