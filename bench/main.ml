@@ -47,7 +47,7 @@ let registry : (string * string * (unit -> unit)) list =
     ("fig-delta", "incremental vs full cost evaluation", Fig_delta.run);
     ("fig-serve", "advising daemon: caches and throughput", Fig_serve.run);
     ("fig-fault", "measurement robustness under faults", Fig_fault.run);
-    ("fig-scale", "solver scaling past the dense ceiling", Fig_scale.run);
+    ("fig-scale", "solver scaling on the sparse LP kernel", Fig_scale.run);
     ("micro", "kernel microbenchmarks", Micro.run);
   ]
 

@@ -255,6 +255,15 @@ let solve ?(options = default_options) ?clustering ?warm_start ?edge_weight
       end
       else None
     in
+    (* The value order depends only on the rounded matrix, so its m² sweep
+       runs once per solve too. *)
+    let value_order =
+      if order_values then begin
+        let badness = connectivity_badness rounded in
+        fun ~var:_ values -> List.sort (fun a b -> Float.compare badness.(a) badness.(b)) values
+      end
+      else fun ~var:_ values -> values
+    in
     (* One CSP for the whole threshold iteration: {!Cp.Csp.reset} refills
        the domains and drops the previous threshold's forbidden matrices
        while keeping the alldifferent propagator and its warm matching
@@ -316,14 +325,6 @@ let solve ?(options = default_options) ?clustering ?warm_start ?edge_weight
               match options.iteration_time_limit with
               | Some l -> Float.min l remaining
               | None -> remaining
-            in
-            let value_order =
-              if order_values then begin
-                let badness = connectivity_badness rounded in
-                fun ~var:_ values ->
-                  List.sort (fun a b -> Float.compare badness.(a) badness.(b)) values
-              end
-              else fun ~var:_ values -> values
             in
             let outcome, (st : Cp.Search.stats) =
               Cp.Search.solve ~time_limit:iteration_budget

@@ -17,62 +17,11 @@ let c_incumbents = Obs.Counter.make "lp.mip.incumbents"
 
 let int_tol = 1e-6
 
-(* Minimal binary min-heap keyed on the LP bound. *)
-module Heap = struct
-  type 'a t = { mutable data : (float * 'a) array; mutable size : int }
-
-  let create dummy = { data = Array.make 16 (0.0, dummy); size = 0 }
-
-  let swap h i j =
-    let tmp = h.data.(i) in
-    h.data.(i) <- h.data.(j);
-    h.data.(j) <- tmp
-
-  let push h key v =
-    if h.size = Array.length h.data then begin
-      let bigger = Array.make (2 * h.size) h.data.(0) in
-      Array.blit h.data 0 bigger 0 h.size;
-      h.data <- bigger
-    end;
-    h.data.(h.size) <- (key, v);
-    let i = ref h.size in
-    h.size <- h.size + 1;
-    while !i > 0 && fst h.data.((!i - 1) / 2) > fst h.data.(!i) do
-      swap h !i ((!i - 1) / 2);
-      i := (!i - 1) / 2
-    done
-
-  let pop h =
-    if h.size = 0 then None
-    else begin
-      let top = h.data.(0) in
-      h.size <- h.size - 1;
-      h.data.(0) <- h.data.(h.size);
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < h.size && fst h.data.(l) < fst h.data.(!smallest) then smallest := l;
-        if r < h.size && fst h.data.(r) < fst h.data.(!smallest) then smallest := r;
-        if !smallest <> !i then begin
-          swap h !i !smallest;
-          i := !smallest
-        end
-        else continue := false
-      done;
-      Some top
-    end
-end
-
 let fractionality x =
   let f = x -. Float.round x in
   Float.abs f
 
-type strategy = Best_first | Depth_first
-
-let solve ?time_limit ?node_limit ?should_stop ?(strategy = Depth_first) ?on_incumbent
-    ?initial_incumbent ?dense_ceiling model =
+let solve ?time_limit ?node_limit ?should_stop ?on_incumbent ?initial_incumbent model =
   Obs.Span.with_ "lp.mip.solve" @@ fun () ->
   let start = Obs.Clock.now_s () in
   let elapsed () = Obs.Clock.now_s () -. start in
@@ -88,46 +37,30 @@ let solve ?time_limit ?node_limit ?should_stop ?(strategy = Depth_first) ?on_inc
   let nodes = ref 0 in
   let pruned = ref 0 in
   let hit_limit = ref false in
-  (* Open nodes live either in a best-first heap or a depth-first stack. A
-     node is the list of branching rows accumulated from the root plus its
-     parent's LP bound and — when the sparse kernel solved the parent — the
-     parent's optimal basis, so the child LP restarts from it (dual simplex
+  (* Open nodes live on a depth-first stack. A node is the list of
+     branching rows accumulated from the root plus its parent's LP bound
+     and optimal basis, so the child LP restarts from it (dual simplex
      repair) instead of from scratch. Depth-first dives toward
-     integer-feasible leaves — essential when the LP relaxation is weak
-     (bounds barely discriminate, so best-first degenerates into
-     breadth-first and rarely finds incumbents); best-first minimizes nodes
-     when bounds are strong. *)
-  let heap = Heap.create ([], None) in
+     integer-feasible leaves — essential when the LP relaxation is weak, as
+     the deployment encodings' is: bounds barely discriminate, so
+     bound-ordered search rarely finds incumbents. *)
   let stack = ref [] in
-  let push bound branches basis =
-    match strategy with
-    | Best_first -> Heap.push heap bound (branches, basis)
-    | Depth_first -> stack := (bound, (branches, basis)) :: !stack
-  in
-  let pop () =
-    match strategy with
-    | Best_first -> Heap.pop heap
-    | Depth_first -> (
-        match !stack with
-        | [] -> None
-        | top :: rest ->
-            stack := rest;
-            Some top)
-  in
+  let push bound branches basis = stack := (bound, branches, basis) :: !stack in
   (* An LP abandoned mid-solve by [over_time] carries no bound, so treat it
      exactly like a hit limit: stop branching, keep the incumbent. Models
-     the dense kernel refuses outright ([Too_large]) get the same handling:
+     past the sparse kernel's row cap ([Too_large]) get the same handling:
      the caller-provided seed is the best this solver can do. *)
-  let root_status, root_basis =
-    try Model.solve_relaxation_basis ~should_stop:over_time ?dense_ceiling model
-    with Simplex.Aborted | Simplex.Too_large ->
-      hit_limit := true;
-      (Simplex.Infeasible, None)
+  let unbounded =
+    match Model.solve_relaxation_basis ~should_stop:over_time model with
+    | Simplex.Optimal (bound, _), basis ->
+        push bound [] basis;
+        false
+    | Simplex.Infeasible, _ -> false
+    | Simplex.Unbounded, _ -> true
+    | exception (Simplex.Aborted | Simplex.Too_large) ->
+        hit_limit := true;
+        false
   in
-  (match root_status with
-  | Simplex.Infeasible | Simplex.Unbounded -> ()
-  | Simplex.Optimal (bound, _) -> push bound [] root_basis);
-  let unbounded = root_status = Simplex.Unbounded in
   let best_obj () = match !incumbent with Some (o, _) -> o | None -> infinity in
   let record_incumbent obj sol =
     if obj < best_obj () -. 1e-9 then begin
@@ -150,27 +83,23 @@ let solve ?time_limit ?node_limit ?should_stop ?(strategy = Depth_first) ?on_inc
           hit_limit := true;
           continue := false
       | _ -> (
-          match pop () with
-          | None -> continue := false
-          | Some (bound, (branches, parent_basis)) ->
-              if bound >= best_obj () -. 1e-9 then begin
-                (* Bound-dominated. Under best-first ordering every
-                   remaining node is dominated too; under depth-first only
-                   this node can be skipped. *)
-                incr pruned;
-                if strategy = Best_first then continue := false
-              end
+          match !stack with
+          | [] -> continue := false
+          | (bound, branches, parent_basis) :: rest ->
+              stack := rest;
+              if bound >= best_obj () -. 1e-9 then
+                (* Bound-dominated: only this node can be skipped, since
+                   the stack is not ordered by bound. *)
+                incr pruned
               else begin
                 incr nodes;
                 match
-                  try
-                    Model.solve_relaxation_basis ~should_stop:over_time ~extra:branches
-                      ?warm_basis:parent_basis ?dense_ceiling model
-                  with Simplex.Aborted | Simplex.Too_large ->
-                    hit_limit := true;
-                    continue := false;
-                    (Simplex.Infeasible, None)
+                  Model.solve_relaxation_basis ~should_stop:over_time ~extra:branches
+                    ~warm_basis:parent_basis model
                 with
+                | exception (Simplex.Aborted | Simplex.Too_large) ->
+                    hit_limit := true;
+                    continue := false
                 | Simplex.Infeasible, _ -> ()
                 | Simplex.Unbounded, _ ->
                     (* Cannot happen if the root was bounded, but guard. *)
@@ -197,8 +126,8 @@ let solve ?time_limit ?node_limit ?should_stop ?(strategy = Depth_first) ?on_inc
                            depth-first explores it first (the stack pops in
                            reverse push order). Children inherit this node's
                            basis: the branch row extends it block-
-                           triangularly, so the sparse kernel re-enters at
-                           the parent optimum. *)
+                           triangularly, so the kernel re-enters at the
+                           parent optimum. *)
                         if x -. lo >= 0.5 then begin
                           push obj ((v, Simplex.Le, lo) :: branches) node_basis;
                           push obj ((v, Simplex.Ge, hi) :: branches) node_basis

@@ -1,10 +1,11 @@
 (** Branch-and-bound mixed-integer programming.
 
     Minimizes a {!Model} objective with the declared integrality enforced.
-    Best-first search on the LP-relaxation bound; branching on the most
-    fractional integer variable; time and node limits; an incumbent callback
-    for recording convergence traces (the paper's Figs. 7, 9, 15 plot
-    best-solution-so-far against wall-clock time). *)
+    Depth-first search over LP relaxations solved by the sparse revised
+    simplex, each child warm-started from its parent's basis; branching on
+    the most fractional integer variable; time and node limits; an
+    incumbent callback for recording convergence traces (the paper's
+    Figs. 7, 9, 15 plot best-solution-so-far against wall-clock time). *)
 
 type outcome =
   | Mip_optimal of float * float array
@@ -13,13 +14,6 @@ type outcome =
       (** best incumbent when a limit stopped the search *)
   | Mip_infeasible
   | Mip_unbounded
-
-type strategy =
-  | Best_first   (** explore by lowest LP bound; minimal nodes when the
-                     relaxation is strong *)
-  | Depth_first  (** dive toward integer leaves, preferring the branch the
-                     LP rounds to; finds incumbents early when the
-                     relaxation is weak (the deployment encodings are) *)
 
 type stats = {
   nodes_explored : int;
@@ -35,10 +29,8 @@ val solve :
   ?time_limit:float ->
   ?node_limit:int ->
   ?should_stop:(unit -> bool) ->
-  ?strategy:strategy ->
   ?on_incumbent:(obj:float -> solution:float array -> elapsed:float -> unit) ->
   ?initial_incumbent:float * float array ->
-  ?dense_ceiling:int ->
   Model.t ->
   outcome * stats
 (** [solve m] runs branch and bound. [time_limit] is in seconds (default
@@ -48,11 +40,9 @@ val solve :
     the budget — and aborts the search like a hit time limit
     (cooperative cancellation for solver portfolios);
     [on_incumbent] fires every time a strictly better integer-feasible
-    solution is found; [strategy] picks the exploration order (default
-    {!Depth_first}); [initial_incumbent] seeds the search with a known
+    solution is found; [initial_incumbent] seeds the search with a known
     feasible objective/solution (the paper bootstraps its solvers with the
     best of 10 random deployments). Integrality tolerance is [1e-6].
-    [dense_ceiling] overrides the tableau-cell threshold below which the
-    relaxations use the dense kernel (forwarded to
-    {!Model.solve_relaxation_basis}); pass [0] to force the sparse
-    revised-simplex path end to end — a testing hook. *)
+    Exploration is depth-first, diving first into the branch the LP
+    rounds to: the deployment encodings' relaxations are weak, so finding
+    incumbents early matters more than minimizing nodes. *)

@@ -64,83 +64,34 @@ let integer_vars t =
   done;
   !acc
 
-(* Even the sparse kernel has limits: past a few hundred thousand rows the
+(* The sparse kernel has limits: past a few hundred thousand rows the
    per-iteration dense work vectors and eta fill stop fitting any realistic
-   budget, so refuse up front like the dense kernel does. *)
+   budget, so refuse up front. *)
 let max_sparse_rows = 500_000
 
-let solve_relaxation_basis ?should_stop ?(extra = []) ?warm_basis
-    ?(dense_ceiling = Simplex.max_tableau_cells) t =
+let solve_relaxation_basis ?should_stop ?(extra = []) ?warm_basis t =
   let infos = var_array t in
-  let n = t.nvars in
-  (* Slack + artificial columns are at most two per row, so
-     [rows × (n + 2·rows)] bounds the tableau the dense simplex would
-     build. Estimating before densifying matters: densifying first would
-     itself allocate rows × n floats — gigabytes for models the dense
-     kernel cannot take. *)
-  let bound_count =
-    Array.fold_left
-      (fun acc i ->
-        acc + (if i.lb > 0.0 then 1 else 0) + if i.ub < infinity then 1 else 0)
-      0 infos
-  in
-  let est_rows = t.nrows + bound_count + List.length extra in
   let objective = Array.map (fun i -> i.obj) infos in
-  if est_rows * (n + (2 * est_rows) + 1) <= dense_ceiling then begin
-    (* Dense path: bit-identical to the historical solver (row order and
-       all), so seeded runs at existing scales are unchanged. *)
-    let dense (vars, coeffs, rel, rhs) =
-      let row = Array.make n 0.0 in
-      Array.iteri (fun k v -> row.(v) <- coeffs.(k)) vars;
-      (row, rel, rhs)
-    in
-    let base = List.rev_map dense t.rows in
-    (* Materialize declared bounds: lb > 0 as Ge rows, finite ub as Le rows. *)
-    let bound_rows = ref [] in
-    Array.iteri
-      (fun v info ->
-        let unit_row value rel =
-          let row = Array.make n 0.0 in
-          row.(v) <- 1.0;
-          (row, rel, value)
-        in
-        if info.lb > 0.0 then bound_rows := unit_row info.lb Simplex.Ge :: !bound_rows;
-        if info.ub < infinity then bound_rows := unit_row info.ub Simplex.Le :: !bound_rows)
-      infos;
-    let extra_rows =
-      List.map
-        (fun (v, rel, rhs) ->
-          let row = Array.make n 0.0 in
-          row.(v) <- 1.0;
-          (row, rel, rhs))
-        extra
-    in
-    (Simplex.solve ?should_stop ~objective ~rows:(base @ !bound_rows @ extra_rows) (), None)
-  end
-  else begin
-    if est_rows > max_sparse_rows then raise Simplex.Too_large;
-    (* Sparse path. Row order must be stable under row *appends* so that a
-       basis returned here stays meaningful for a model extending this one
-       (the warm-start contract of {!Sparse}): base rows in insertion
-       order, then bound rows in variable order, then [extra] oldest
-       first — {!Mip} prepends each new branch, so the parent's extras are
-       a list suffix and reversing makes them a positional prefix. *)
-    let base = List.rev t.rows in
-    let bound_rows = ref [] in
-    for v = t.nvars - 1 downto 0 do
-      let info = infos.(v) in
-      if info.ub < infinity then
-        bound_rows := ([| v |], [| 1.0 |], Simplex.Le, info.ub) :: !bound_rows;
-      if info.lb > 0.0 then
-        bound_rows := ([| v |], [| 1.0 |], Simplex.Ge, info.lb) :: !bound_rows
-    done;
-    let extra_rows =
-      List.rev_map (fun (v, rel, rhs) -> ([| v |], [| 1.0 |], rel, rhs)) extra
-    in
-    let rows = base @ !bound_rows @ extra_rows in
-    let res = Sparse.solve ?should_stop ?warm_basis ~objective ~rows () in
-    (res.Sparse.status, Some res.Sparse.basis)
-  end
+  (* Row order must be stable under row *appends* so that a basis returned
+     here stays meaningful for a model extending this one (the warm-start
+     contract of {!Sparse}): base rows in insertion order, then bound rows
+     in variable order, then [extra] oldest first — {!Mip} prepends each
+     new branch, so the parent's extras are a list suffix and reversing
+     makes them a positional prefix. *)
+  let base = List.rev t.rows in
+  let bound_rows = ref [] in
+  for v = t.nvars - 1 downto 0 do
+    let info = infos.(v) in
+    if info.ub < infinity then
+      bound_rows := ([| v |], [| 1.0 |], Simplex.Le, info.ub) :: !bound_rows;
+    if info.lb > 0.0 then
+      bound_rows := ([| v |], [| 1.0 |], Simplex.Ge, info.lb) :: !bound_rows
+  done;
+  let extra_rows = List.rev_map (fun (v, rel, rhs) -> ([| v |], [| 1.0 |], rel, rhs)) extra in
+  let rows = base @ !bound_rows @ extra_rows in
+  if List.length rows > max_sparse_rows then raise Simplex.Too_large;
+  let res = Sparse.solve ?should_stop ?warm_basis ~objective ~rows () in
+  (res.Sparse.status, res.Sparse.basis)
 
 let solve_relaxation ?should_stop ?extra t =
   fst (solve_relaxation_basis ?should_stop ?extra t)

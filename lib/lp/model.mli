@@ -1,9 +1,9 @@
 (** LP/MIP model builder.
 
-    A thin, typed layer over {!Simplex}: declare variables (optionally
-    integer, with bounds), add linear constraints, set a minimization
-    objective, and solve the LP relaxation. The {!Mip} module adds
-    branch-and-bound on top. *)
+    A thin, typed layer over the sparse revised simplex ({!Sparse}):
+    declare variables (optionally integer, with bounds), add linear
+    constraints, set a minimization objective, and solve the LP
+    relaxation. The {!Mip} module adds branch-and-bound on top. *)
 
 type t
 (** A mutable model under construction. *)
@@ -48,21 +48,15 @@ val solve_relaxation_basis :
   ?should_stop:(unit -> bool) ->
   ?extra:(var * Simplex.relation * float) list ->
   ?warm_basis:int array ->
-  ?dense_ceiling:int ->
   t ->
-  Simplex.status * int array option
-(** Like {!solve_relaxation}, but also returns the optimal basis when the
-    sparse kernel ran. Routing: if the estimated dense tableau fits in
-    [dense_ceiling] (default {!Simplex.max_tableau_cells}) the dense
-    {!Simplex} runs — bit-identical to the historical behaviour — and the
-    basis is [None] ([warm_basis] is ignored: the dense kernel cannot use
-    it). Otherwise the model is handed to {!Sparse} without ever being
-    densified, and the returned stable-label basis can be passed back as
-    [warm_basis] for a re-solve of this model extended with more [extra]
-    rows (each new branch prepended to [extra], as {!Mip} does). Raises
-    {!Simplex.Too_large} only past the sparse kernel's own row cap.
-    [dense_ceiling] exists for tests to force the sparse path on small
-    models; production callers leave it at the default. *)
+  Simplex.status * int array
+(** Like {!solve_relaxation}, but also returns the final basis of the
+    {!Sparse} solve as stable column labels. That basis can be passed back
+    as [warm_basis] for a re-solve of this model extended with more
+    [extra] rows (each new branch prepended to [extra], as {!Mip} does).
+    Raises {!Simplex.Too_large} when the materialized rows (constraints,
+    bound rows and [extra]) exceed the sparse kernel's row cap of
+    500 000. *)
 
 val value : float array -> var -> float
 (** Read a variable out of a solution vector returned by the solver. *)

@@ -19,7 +19,7 @@ type tableau = {
   obj : float array;        (* current phase objective reduced-cost row, ncols + 1 wide *)
 }
 
-(* [@cloudia.hot]: a pivot is the O(m·ncols) inner loop of every LP/MIP
+(* [@cloudia.hot]: a pivot is the O(m·ncols) inner loop of every oracle
    solve; pass A003 keeps its row sweeps allocation-free. *)
 let[@cloudia.hot] pivot t ~row ~col =
   let pr = t.rows.(row) in

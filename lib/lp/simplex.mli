@@ -1,15 +1,17 @@
-(** Two-phase primal simplex on the dense tableau.
+(** Two-phase primal simplex on the dense tableau: the reference oracle.
 
     Solves  minimize cᵀx  subject to  Ax {≤,=,≥} b,  x ≥ 0.
 
-    This is the LP kernel underneath the branch-and-bound MIP solver
-    ({!Mip}). The implementation is the textbook two-phase tableau method:
-    phase 1 minimizes the sum of artificial variables to find a basic
-    feasible solution; phase 2 minimizes the true objective. Pricing is
-    Dantzig (most negative reduced cost) with an automatic switch to Bland's
-    rule after an iteration threshold, which guarantees termination in the
-    presence of degeneracy. Dense storage is adequate for the problem sizes
-    in this repository (thousands of rows). *)
+    No production path calls {!solve}: every {!Model} relaxation and
+    {!Mip} node runs on the sparse revised simplex ({!Sparse}). This
+    kernel stays because it is small and textbook — phase 1 minimizes the
+    sum of artificial variables to find a basic feasible solution, phase 2
+    minimizes the true objective, pricing is Dantzig with an automatic
+    switch to Bland's rule after an iteration threshold (termination under
+    degeneracy) — which makes it the independent answer the tests, the
+    [micro] benchmark and the fig-scale bit-match compare {!Sparse}
+    against. The module also owns the types and exceptions the LP layer
+    shares ({!relation}, {!status}, {!Aborted}, {!Too_large}). *)
 
 type relation = Le | Ge | Eq
 
@@ -30,7 +32,8 @@ exception Too_large
 (** Raised by {!solve} before any allocation when the dense tableau would
     exceed {!max_tableau_cells} — past that size a pivot costs tens of
     Mflop and building the tableau alone takes gigabytes, so the solve
-    could never finish within a realistic budget. *)
+    could never finish within a realistic budget. {!Model} raises it too,
+    past the sparse kernel's row cap. *)
 
 val max_tableau_cells : int
 (** The refusal threshold, in tableau cells (rows × columns). *)

@@ -1,12 +1,10 @@
-(* Sparse revised simplex: the LP kernel for models past the dense-tableau
-   ceiling.
+(* Sparse revised simplex: the production LP kernel.
 
-   The dense two-phase kernel ({!Simplex}) materializes an m x ncols
-   tableau and refuses models over [max_tableau_cells]. This kernel keeps
-   the constraint matrix in CSC form and represents the basis inverse as a
-   product of elementary (eta) matrices rebuilt by periodic
-   refactorization, so memory is O(nonzeros + eta fill) and a pivot costs
-   O(nonzeros touched) instead of O(m * ncols).
+   The dense two-phase oracle ({!Simplex}) materializes an m x ncols
+   tableau. This kernel keeps the constraint matrix in CSC form and
+   represents the basis inverse as a product of elementary (eta) matrices
+   rebuilt by periodic refactorization, so memory is O(nonzeros + eta
+   fill) and a pivot costs O(nonzeros touched) instead of O(m * ncols).
 
    Column labels are *stable across row appends*: structural variable j is
    column j, the slack/surplus of row r is [nvars + 2r], the artificial of
@@ -149,8 +147,11 @@ let push_eta s e =
   s.etas.(s.n_etas) <- e;
   s.n_etas <- s.n_etas + 1
 
+(* FTRAN/BTRAN and the column kernels below run in every pricing and ratio
+   step; [@cloudia.hot] has pass A003 keep their loops allocation-free. *)
+
 (* v <- B^{-1} v, applying etas oldest to newest. *)
-let ftran s v =
+let[@cloudia.hot] ftran s v =
   for k = 0 to s.n_etas - 1 do
     let e = s.etas.(k) in
     let t = v.(e.e_row) in
@@ -162,11 +163,13 @@ let ftran s v =
     end
   done
 
-(* v <- B^{-T} v, applying eta transposes newest to oldest. *)
-let btran s v =
+(* v <- B^{-T} v, applying eta transposes newest to oldest. One
+   accumulator serves every eta, so the loop allocates no cell. *)
+let[@cloudia.hot] btran s v =
+  let acc = ref 0.0 in
   for k = s.n_etas - 1 downto 0 do
     let e = s.etas.(k) in
-    let acc = ref (e.e_piv *. v.(e.e_row)) in
+    acc := e.e_piv *. v.(e.e_row);
     for i = 0 to Array.length e.e_ix - 1 do
       acc := !acc +. (e.e_mul.(i) *. v.(e.e_ix.(i)))
     done;
@@ -174,12 +177,12 @@ let btran s v =
   done
 
 (* Scatter column label j of A into dense [v] (caller zeroes it). *)
-let scatter_col p j v =
+let[@cloudia.hot] scatter_col p j v =
   for k = p.col_ptr.(j) to p.col_ptr.(j + 1) - 1 do
     v.(p.row_ix.(k)) <- p.value.(k)
   done
 
-let dot_col p j v =
+let[@cloudia.hot] dot_col p j v =
   let acc = ref 0.0 in
   for k = p.col_ptr.(j) to p.col_ptr.(j + 1) - 1 do
     acc := !acc +. (p.value.(k) *. v.(p.row_ix.(k)))

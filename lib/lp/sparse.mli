@@ -1,12 +1,11 @@
-(** Sparse revised simplex for LPs past the dense-tableau ceiling.
+(** Sparse revised simplex: the LP kernel of every {!Model} relaxation
+    and {!Mip} node.
 
-    Solves the same problem class as {!Simplex} — minimize cᵀx subject to
-    Ax {≤,=,≥} b, x ≥ 0 — but keeps the constraint matrix in compressed
-    sparse column form and the basis inverse as a product-form eta file
-    with periodic refactorization, so memory and pivot cost scale with the
-    nonzero count instead of rows × columns. {!Model.solve_relaxation_basis}
-    selects this kernel automatically when the dense tableau would exceed
-    {!Simplex.max_tableau_cells}.
+    Solves minimize cᵀx subject to Ax {≤,=,≥} b, x ≥ 0 — the problem class
+    of the dense {!Simplex} oracle — but keeps the constraint matrix in
+    compressed sparse column form and the basis inverse as a product-form
+    eta file with periodic refactorization, so memory and pivot cost scale
+    with the nonzero count instead of rows × columns.
 
     Basic variables are identified by {e stable column labels} that survive
     row appends: structural variable [j] is column [j]; the slack/surplus

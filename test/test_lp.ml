@@ -255,26 +255,34 @@ let test_mip_general_integer () =
       (* (3,2): 3*3+4*2=17, check constraints: 5>=5, 8>=7, 7>=7. *)
   | _ -> Alcotest.fail "expected optimal"
 
-let test_mip_strategies_agree () =
-  (* Depth-first and best-first must find the same optimum when allowed to
-     finish. *)
-  let build () =
-    let m = Model.create () in
-    let vars =
-      Array.init 6 (fun i ->
-          Model.add_var m ~integer:true ~ub:1.0 ~obj:(-.float_of_int (7 - i))
-            (Printf.sprintf "v%d" i))
-    in
-    Model.add_constraint m
-      (Array.to_list (Array.mapi (fun i v -> (v, float_of_int (i + 2))) vars))
-      Simplex.Le 11.0;
-    m
+let test_mip_knapsack_matches_enumeration () =
+  (* A 6-item 0/1 knapsack whose optimum is checked against all 2^6
+     subsets: the proven MIP optimum must be the best feasible subset. *)
+  let value i = float_of_int (7 - i) and weight i = float_of_int (i + 2) in
+  let m = Model.create () in
+  let vars =
+    Array.init 6 (fun i ->
+        Model.add_var m ~integer:true ~ub:1.0 ~obj:(-.value i) (Printf.sprintf "v%d" i))
   in
-  let solve strategy = match Mip.solve ~strategy (build ()) with
-    | Mip.Mip_optimal (obj, _), _ -> obj
-    | _ -> Alcotest.fail "expected optimal"
-  in
-  check_float "strategies agree" (solve Mip.Best_first) (solve Mip.Depth_first)
+  Model.add_constraint m
+    (Array.to_list (Array.mapi (fun i v -> (v, weight i)) vars))
+    Simplex.Le 11.0;
+  let best = ref infinity in
+  for mask = 0 to (1 lsl 6) - 1 do
+    let w = ref 0.0 and obj = ref 0.0 in
+    for i = 0 to 5 do
+      if mask land (1 lsl i) <> 0 then begin
+        w := !w +. weight i;
+        obj := !obj -. value i
+      end
+    done;
+    if !w <= 11.0 then best := Float.min !best !obj
+  done;
+  match Mip.solve m with
+  | Mip.Mip_optimal (obj, _), stats ->
+      check_float "enumerated optimum" !best obj;
+      Alcotest.(check bool) "proved" true stats.Mip.proven_optimal
+  | _ -> Alcotest.fail "expected optimal"
 
 let test_mip_depth_first_finds_incumbent_fast () =
   (* Even with a node limit too small for a proof, depth-first should have
@@ -286,7 +294,7 @@ let test_mip_depth_first_finds_incumbent_fast () =
           (Printf.sprintf "v%d" i))
   in
   Model.add_constraint m (Array.to_list (Array.map (fun v -> (v, 2.0)) vars)) Simplex.Le 9.0;
-  match Mip.solve ~strategy:Mip.Depth_first ~node_limit:40 m with
+  match Mip.solve ~node_limit:40 m with
   | (Mip.Mip_feasible _ | Mip.Mip_optimal _), _ -> ()
   | Mip.Mip_infeasible, _ -> Alcotest.fail "feasible problem"
   | Mip.Mip_unbounded, _ -> Alcotest.fail "bounded problem"
@@ -406,25 +414,40 @@ let assignment_model ?(integer = false) n w =
   done;
   (m, x)
 
+(* The rows {!assignment_model} hands the kernel, written out densely for
+   the {!Simplex} oracle: row sums, column sums, then one [x <= 1] bound row
+   per variable in variable order (variable [i*n + j] is [x.(i).(j)]). *)
+let dense_assignment n w =
+  let row cells =
+    let r = Array.make (n * n) 0.0 in
+    List.iter (fun (i, j) -> r.((i * n) + j) <- 1.0) cells;
+    r
+  in
+  let objective = Array.init (n * n) (fun k -> w (k / n) (k mod n)) in
+  let rows =
+    List.init n (fun i -> (row (List.init n (fun j -> (i, j))), Simplex.Eq, 1.0))
+    @ List.init n (fun j -> (row (List.init n (fun i -> (i, j))), Simplex.Le, 1.0))
+    @ List.init (n * n) (fun k -> (row [ (k / n, k mod n) ], Simplex.Le, 1.0))
+  in
+  (objective, rows)
+
+let optimum name = function
+  | Simplex.Optimal (obj, _) -> obj
+  | _ -> Alcotest.fail (name ^ ": expected optimal")
+
 let test_sparse_dense_bit_identical () =
   (* Pure assignment LP with dyadic costs: both kernels pivot on ±1 entries
-     and stay in exact dyadic arithmetic, so the optima must be the same
-     bit pattern, not merely close. This is the gate that caught a ratio-test
-     bug in the sparse kernel's phase 1. *)
+     and stay in exact dyadic arithmetic, so the model's optimum and the
+     dense oracle's must be the same bit pattern, not merely close. This is
+     the gate that caught a ratio-test bug in the sparse kernel's phase 1. *)
   let w i j = 0.25 *. float_of_int ((((i * 7) + (j * 3)) mod 4) + 1) in
   let m, _ = assignment_model 6 w in
-  let dense =
-    match fst (Model.solve_relaxation_basis m) with
-    | Simplex.Optimal (obj, _) -> obj
-    | _ -> Alcotest.fail "dense: expected optimal"
-  in
-  let sparse =
-    match fst (Model.solve_relaxation_basis ~dense_ceiling:0 m) with
-    | Simplex.Optimal (obj, _) -> obj
-    | _ -> Alcotest.fail "sparse: expected optimal"
-  in
-  Alcotest.(check int64)
-    "objective bits" (Int64.bits_of_float dense) (Int64.bits_of_float sparse)
+  let objective, rows = dense_assignment 6 w in
+  let dense = optimum "dense" (solve_simplex objective rows) in
+  let model = optimum "model" (Model.solve_relaxation m) in
+  let sparse = optimum "sparse" (solve_sparse objective rows).Sparse.status in
+  Alcotest.(check int64) "model bits" (Int64.bits_of_float dense) (Int64.bits_of_float model);
+  Alcotest.(check int64) "sparse bits" (Int64.bits_of_float dense) (Int64.bits_of_float sparse)
 
 let test_sparse_warm_basis_matches_cold () =
   (* Branch-and-bound re-solve pattern: optimal basis of the parent, then the
@@ -432,19 +455,19 @@ let test_sparse_warm_basis_matches_cold () =
   let w i j = if i = j then 1.0 else 3.0 +. float_of_int ((i + (2 * j)) mod 3) in
   let m, x = assignment_model 4 w in
   let basis =
-    match Model.solve_relaxation_basis ~dense_ceiling:0 m with
-    | Simplex.Optimal _, Some b -> b
+    match Model.solve_relaxation_basis m with
+    | Simplex.Optimal _, b -> b
     | _ -> Alcotest.fail "parent: expected optimal with basis"
   in
   (* Force the first (diagonal, hence basic) variable out of the plan. *)
   let extra = [ (x.(0).(0), Simplex.Le, 0.0) ] in
   let warm =
-    match fst (Model.solve_relaxation_basis ~dense_ceiling:0 ~extra ~warm_basis:basis m) with
+    match fst (Model.solve_relaxation_basis ~extra ~warm_basis:basis m) with
     | Simplex.Optimal (obj, _) -> obj
     | _ -> Alcotest.fail "warm child: expected optimal"
   in
   let cold =
-    match fst (Model.solve_relaxation_basis ~dense_ceiling:0 ~extra m) with
+    match fst (Model.solve_relaxation_basis ~extra m) with
     | Simplex.Optimal (obj, _) -> obj
     | _ -> Alcotest.fail "cold child: expected optimal"
   in
@@ -458,35 +481,53 @@ let test_sparse_warm_infeasible_branch () =
   let y = Model.add_var m ~ub:3.0 ~obj:1.0 "y" in
   Model.add_constraint m [ (x, 1.0); (y, 1.0) ] Simplex.Ge 2.0;
   let basis =
-    match Model.solve_relaxation_basis ~dense_ceiling:0 m with
-    | Simplex.Optimal _, Some b -> b
+    match Model.solve_relaxation_basis m with
+    | Simplex.Optimal _, b -> b
     | _ -> Alcotest.fail "parent: expected optimal with basis"
   in
   let extra = [ (x, Simplex.Ge, 5.0) ] in
-  match fst (Model.solve_relaxation_basis ~dense_ceiling:0 ~extra ~warm_basis:basis m) with
+  match fst (Model.solve_relaxation_basis ~extra ~warm_basis:basis m) with
   | Simplex.Infeasible -> ()
   | _ -> Alcotest.fail "expected infeasible child"
 
-let test_mip_dense_ceiling_equivalence () =
-  (* Mip.solve with every relaxation forced through the sparse kernel must
-     reproduce the dense-path optima on the standard fixtures. *)
+let test_mip_dense_oracle_equivalence () =
+  (* Mip.solve and its root relaxation against the dense {!Simplex} oracle
+     on densified rows of the same models. *)
   let m = Model.create () in
   let a = Model.add_var m ~integer:true ~ub:1.0 ~obj:(-10.0) "a" in
   let b = Model.add_var m ~integer:true ~ub:1.0 ~obj:(-13.0) "b" in
   let c = Model.add_var m ~integer:true ~ub:1.0 ~obj:(-7.0) "c" in
   Model.add_constraint m [ (a, 3.0); (b, 4.0); (c, 2.0) ] Simplex.Le 6.0;
-  (match Mip.solve ~dense_ceiling:0 m with
+  let dense_root =
+    solve_simplex [| -10.0; -13.0; -7.0 |]
+      [
+        ([| 3.0; 4.0; 2.0 |], Simplex.Le, 6.0);
+        ([| 1.0; 0.0; 0.0 |], Simplex.Le, 1.0);
+        ([| 0.0; 1.0; 0.0 |], Simplex.Le, 1.0);
+        ([| 0.0; 0.0; 1.0 |], Simplex.Le, 1.0);
+      ]
+  in
+  check_float "knapsack relaxation" ~tol:1e-9
+    (optimum "dense root" dense_root)
+    (optimum "model root" (Model.solve_relaxation m));
+  (match Mip.solve m with
   | Mip.Mip_optimal (obj, sol), stats ->
       check_float "knapsack objective" (-20.0) obj;
       check_float "b chosen" 1.0 (Model.value sol b);
       check_float "c chosen" 1.0 (Model.value sol c);
       Alcotest.(check bool) "proved" true stats.Mip.proven_optimal
-  | _ -> Alcotest.fail "sparse knapsack: expected optimal");
-  let m2, _ = assignment_model ~integer:true 3 (fun i j -> if i = j then 1.0 else 10.0) in
-  match (Mip.solve ~dense_ceiling:0 m2, Mip.solve m2) with
-  | (Mip.Mip_optimal (os, _), _), (Mip.Mip_optimal (od, _), _) ->
-      check_float "assignment sparse vs dense" ~tol:1e-9 od os
-  | _ -> Alcotest.fail "assignment: expected optimal on both paths"
+  | _ -> Alcotest.fail "knapsack: expected optimal");
+  (* The assignment polytope is integral, so the MIP optimum is the dense
+     LP optimum. *)
+  let w i j = if i = j then 1.0 else 10.0 in
+  let m2, _ = assignment_model ~integer:true 3 w in
+  let objective, rows = dense_assignment 3 w in
+  match Mip.solve m2 with
+  | Mip.Mip_optimal (obj, _), _ ->
+      check_float "assignment vs dense oracle" ~tol:1e-9
+        (optimum "dense" (solve_simplex objective rows))
+        obj
+  | _ -> Alcotest.fail "assignment: expected optimal"
 
 let random_lp rng nvars nrows =
   let objective = Array.init nvars (fun _ -> Prng.float rng 10.0 -. 5.0) in
@@ -610,7 +651,8 @@ let suite =
     Alcotest.test_case "mip initial incumbent" `Quick test_mip_initial_incumbent_prunes;
     Alcotest.test_case "mip node limit" `Quick test_mip_node_limit_reports_feasible;
     Alcotest.test_case "mip general integer" `Quick test_mip_general_integer;
-    Alcotest.test_case "mip strategies agree" `Quick test_mip_strategies_agree;
+    Alcotest.test_case "mip knapsack matches enumeration" `Quick
+      test_mip_knapsack_matches_enumeration;
     Alcotest.test_case "mip depth-first incumbent" `Quick test_mip_depth_first_finds_incumbent_fast;
     Alcotest.test_case "sparse matches dense textbook" `Quick test_sparse_matches_dense_textbook;
     Alcotest.test_case "sparse degenerate (Beale)" `Quick test_sparse_degenerate_beale;
@@ -620,6 +662,6 @@ let suite =
     Alcotest.test_case "sparse/dense bit-identical" `Quick test_sparse_dense_bit_identical;
     Alcotest.test_case "sparse warm basis" `Quick test_sparse_warm_basis_matches_cold;
     Alcotest.test_case "sparse warm infeasible branch" `Quick test_sparse_warm_infeasible_branch;
-    Alcotest.test_case "mip dense-ceiling equivalence" `Quick test_mip_dense_ceiling_equivalence;
+    Alcotest.test_case "mip dense-oracle equivalence" `Quick test_mip_dense_oracle_equivalence;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_props

@@ -226,6 +226,53 @@ let test_mip_lp_matches_brute_force () =
     check_float (Printf.sprintf "seed %d" seed) optimal r.Mip_solver.cost
   done
 
+(* Differential check of the MIP pipeline against brute force on random
+   small instances: at most 5 nodes and 6 instances, either objective,
+   asymmetric costs drawn from one of three regimes — small integers (many
+   ties), multiples of 1/4 (dyadic, so every sum is exact) or arbitrary
+   non-dyadic floats. *)
+let differential_problem seed =
+  let rng = Prng.create seed in
+  let nodes = 2 + Prng.int rng 4 in
+  let instances = nodes + Prng.int rng (7 - nodes) in
+  let objective = if Prng.bool rng then Cost.Longest_link else Cost.Longest_path in
+  let graph =
+    match objective with
+    | Cost.Longest_link ->
+        Graphs.Templates.random_connected rng ~n:nodes ~extra_edges:(Prng.int rng 3)
+    | Cost.Longest_path -> Graphs.Templates.random_dag rng ~n:nodes ~edge_prob:0.6
+  in
+  let draw =
+    match Prng.int rng 3 with
+    | 0 -> fun () -> float_of_int (1 + Prng.int rng 3)
+    | 1 -> fun () -> 0.25 *. float_of_int (1 + Prng.int rng 8)
+    | _ -> fun () -> 0.1 +. Prng.float rng 1.0
+  in
+  let costs =
+    Array.init instances (fun j ->
+        Array.init instances (fun j' -> if j = j' then 0.0 else draw ()))
+  in
+  (objective, Types.problem ~graph ~costs)
+
+let mip_differential =
+  QCheck.Test.make ~name:"mip proofs match brute force" ~count:25 QCheck.small_int
+    (fun seed ->
+      let objective, p = differential_problem seed in
+      let solve =
+        match objective with
+        | Cost.Longest_link -> Mip_solver.solve_longest_link
+        | Cost.Longest_path -> Mip_solver.solve_longest_path
+      in
+      let options = { mip_opts with Mip_solver.time_limit = 10.0 } in
+      let r = solve ~options (Prng.create seed) p in
+      let _, optimal = Brute_force.solve objective p in
+      Types.is_valid p r.Mip_solver.plan
+      && Int64.equal
+           (Int64.bits_of_float (Cost.eval objective p r.Mip_solver.plan))
+           (Int64.bits_of_float r.Mip_solver.cost)
+      && r.Mip_solver.cost >= optimal
+      && ((not r.Mip_solver.proven_optimal) || r.Mip_solver.cost = optimal))
+
 let test_mip_lp_rejects_cyclic () =
   let graph = Graphs.Templates.ring ~n:3 in
   let costs = Array.init 4 (fun j -> Array.init 4 (fun j' -> if j = j' then 0.0 else 1.0)) in
@@ -438,3 +485,4 @@ let suite =
       test_advisor_lint_gate_rejects_cyclic_lpndp;
     Alcotest.test_case "advisor measurement time" `Quick test_advisor_measurement_time_scales;
   ]
+  @ [ QCheck_alcotest.to_alcotest ~long:false mip_differential ]
